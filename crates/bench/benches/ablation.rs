@@ -98,47 +98,6 @@ fn bench_deferred_rechecks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-count ablation for the parallel-round driver on the E4 guarded
-/// family: the same chases at 1, 2, and 4 workers. Results are bit-identical
-/// by construction, so this row isolates the cost/benefit of fan-out alone
-/// (see `benches/parallel_chase.rs` for the full scaling sweep + JSON).
-fn bench_parallel_rounds(c: &mut Criterion) {
-    use chasekit_core::CriticalInstance;
-
-    let mut group = c.benchmark_group("ablation/parallel_rounds");
-    group.sample_size(10);
-    let cfg = RandomConfig { predicates: 4, max_arity: 3, rules: 4, ..Default::default() };
-    let programs: Vec<Program> = (0..8)
-        .map(|s| {
-            let mut p = random_guarded(&cfg, 90_000 + s);
-            let _ = CriticalInstance::build(&mut p);
-            p
-        })
-        .collect();
-    let budget = Budget { max_applications: 800, max_atoms: 20_000, ..Budget::unlimited() };
-
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
-            b.iter(|| {
-                let mut atoms = 0usize;
-                for p in &programs {
-                    let mut frozen = p.clone();
-                    let initial = CriticalInstance::build(&mut frozen).instance;
-                    let mut m = ChaseMachine::new(
-                        &frozen,
-                        ChaseConfig::of(ChaseVariant::SemiOblivious),
-                        initial,
-                    );
-                    let _ = m.run_parallel(&budget, threads);
-                    atoms += m.instance().len();
-                }
-                black_box(atoms)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Observability ablation on the E4 guarded family: the same chases with
 /// tracing disabled (the default `Option<TraceHandle>` = `None` path), with
 /// a JSONL sink writing to `io::sink()`, and with the in-memory metrics
@@ -287,8 +246,7 @@ fn bench_journal_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // Independent medians for the standalone JSON record, in the same shape
-    // as BENCH_parallel_chase.json.
+    // Independent medians for the standalone JSON record.
     let median = |mode: &str| -> u64 {
         let mut runs: Vec<u64> = (0..5)
             .map(|_| {
@@ -328,7 +286,6 @@ criterion_group!(
     benches,
     bench_delta_vs_naive,
     bench_deferred_rechecks,
-    bench_parallel_rounds,
     bench_trace_overhead,
     bench_journal_overhead
 );

@@ -158,14 +158,12 @@ mod tests {
         }
     }
 
-    /// The acceptance scenario again with the chase's own threaded pool
-    /// *nested inside* each seed's work: every seed runs a parallel-round
-    /// chase, so the experiment pool's workers spawn scoped discovery
-    /// threads of their own. A panicking seed must still cost exactly
-    /// itself, and every survivor's parallel run must stay bit-identical
-    /// to the fault-free sequential chase of the same seed.
+    /// The acceptance scenario again with a real chase *nested inside*
+    /// each seed's work. A panicking seed must still cost exactly itself,
+    /// and every survivor's chase on a pool worker must stay bit-identical
+    /// to the fault-free chase of the same seed on the calling thread.
     #[test]
-    fn injected_faults_in_nested_parallel_chases_cost_exactly_their_own_seeds() {
+    fn injected_faults_in_nested_chases_cost_exactly_their_own_seeds() {
         use chasekit_core::CriticalInstance;
         use chasekit_datagen::{random_guarded, RandomConfig};
         use chasekit_engine::{Budget, ChaseConfig, ChaseMachine, ChaseVariant};
@@ -179,23 +177,23 @@ mod tests {
         let budget = Budget::applications(40).with_atoms(1_000);
         // The checkpoint text is the whole observable run state, so it
         // doubles as the value under differential comparison.
-        let chase_text = |seed: u64, threads: usize| {
+        let chase_text = |seed: u64| {
             // Random guarded sets carry no facts: chase the critical
             // instance, like the guarded experiments do.
             let mut p = random_guarded(&cfg, seed);
             let initial = CriticalInstance::build(&mut p).instance;
             let mut m =
                 ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::SemiOblivious), initial);
-            let stop = m.run_parallel(&budget, threads);
+            let stop = m.run(&budget);
             format!("{stop}\n{}", m.snapshot().to_text().unwrap())
         };
 
-        let clean: Vec<String> = (0..SEEDS).map(|s| chase_text(s, 1)).collect();
+        let clean: Vec<String> = (0..SEEDS).map(chase_text).collect();
 
         for threads in [2, 4] {
             let faulty = par_try_map_seeds(SEEDS, threads, |seed| {
                 plan.trip(seed);
-                chase_text(seed, 2)
+                chase_text(seed)
             });
             assert_eq!(faulty.len() as u64, SEEDS);
             let failed: Vec<u64> = faulty
@@ -208,7 +206,7 @@ mod tests {
                 match slot {
                     Ok(text) => assert_eq!(
                         text, &clean[seed],
-                        "seed {seed} diverged under the nested parallel chase"
+                        "seed {seed} diverged on a pool worker"
                     ),
                     Err(f) => assert_eq!(f.seed, seed as u64),
                 }

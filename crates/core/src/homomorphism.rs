@@ -99,89 +99,6 @@ impl Substitution {
     }
 }
 
-/// A read-only, possibly length-limited view of an [`Instance`].
-///
-/// The parallel-round chase matches rule bodies on worker threads against
-/// the instance *as it stood at a specific application boundary*. Atom ids
-/// are dense and monotone in insertion order, and every posting list the
-/// matcher consults is in insertion order too, so "the instance after its
-/// first `len` atoms" is exactly "every posting truncated to ids below
-/// `len`" — a zero-copy snapshot. A full-length view behaves identically
-/// to matching against the instance itself.
-///
-/// Views are `Copy` and borrow the instance immutably, so any number of
-/// them can be handed to worker threads at once (`Instance` is `Sync`).
-#[derive(Debug, Clone, Copy)]
-pub struct InstanceView<'a> {
-    instance: &'a Instance,
-    len: usize,
-}
-
-impl<'a> InstanceView<'a> {
-    /// A view of the whole instance as it currently stands.
-    pub fn full(instance: &'a Instance) -> Self {
-        // The horizon is an *id* bound, so it lives in slab space: after
-        // retractions the live count undershoots the id high-water mark
-        // and would wrongly hide the newest live atoms.
-        InstanceView { instance, len: instance.slab_len() }
-    }
-
-    /// A view of the first `len` slab slots (clamped to the current slab
-    /// length): the instance exactly as it stood when its `len`-th atom
-    /// had just been inserted, minus anything retracted since.
-    pub fn prefix(instance: &'a Instance, len: usize) -> Self {
-        InstanceView { instance, len: len.min(instance.slab_len()) }
-    }
-
-    /// Id horizon of the view (a bound on visible atom ids, not a count
-    /// of live atoms).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view shows no atoms.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resolves a visible id to a zero-copy view of its atom.
-    #[inline]
-    pub fn atom(&self, id: AtomId) -> AtomRef<'a> {
-        debug_assert!(id.index() < self.len, "atom {id:?} is beyond the view horizon");
-        self.instance.atom(id)
-    }
-
-    /// Truncates a posting list (ascending ids) to the view horizon.
-    #[inline]
-    fn clip(&self, posting: &'a [AtomId]) -> &'a [AtomId] {
-        // Fast path: the posting is entirely visible (always true for a
-        // full view), so skip the binary search.
-        match posting.last() {
-            Some(last) if last.index() >= self.len => {
-                &posting[..posting.partition_point(|id| id.index() < self.len)]
-            }
-            _ => posting,
-        }
-    }
-
-    /// Visible ids of atoms with the given predicate, in insertion order.
-    pub fn with_pred(&self, pred: crate::ids::PredId) -> &'a [AtomId] {
-        self.clip(self.instance.with_pred(pred))
-    }
-
-    /// Visible ids of atoms with `term` at `pos` of `pred`.
-    pub fn with_pred_pos_term(
-        &self,
-        pred: crate::ids::PredId,
-        pos: usize,
-        term: Term,
-    ) -> &'a [AtomId] {
-        self.clip(self.instance.with_pred_pos_term(pred, pos, term))
-    }
-}
-
 /// Tries to unify `pattern` (which may contain variables) with the ground
 /// atom `fact` under `subst`, pushing new bindings onto `trail`.
 ///
@@ -220,7 +137,7 @@ fn unify_atom(
 
 /// Counts how selective each remaining pattern is and returns the candidate
 /// atom ids for the most selective access path.
-fn candidates<'i>(pattern: &Atom, subst: &Substitution, view: &InstanceView<'i>) -> &'i [AtomId] {
+fn candidates<'i>(pattern: &Atom, subst: &Substitution, instance: &'i Instance) -> &'i [AtomId] {
     let mut best: Option<&[AtomId]> = None;
     for (pos, &t) in pattern.args.iter().enumerate() {
         let ground = match t {
@@ -230,12 +147,12 @@ fn candidates<'i>(pattern: &Atom, subst: &Substitution, view: &InstanceView<'i>)
             },
             g => g,
         };
-        let posting = view.with_pred_pos_term(pattern.pred, pos, ground);
+        let posting = instance.with_pred_pos_term(pattern.pred, pos, ground);
         if best.is_none_or(|b| posting.len() < b.len()) {
             best = Some(posting);
         }
     }
-    best.unwrap_or_else(|| view.with_pred(pattern.pred))
+    best.unwrap_or_else(|| instance.with_pred(pattern.pred))
 }
 
 /// Reusable matcher state: substitution slots, the remaining-atom
@@ -243,9 +160,9 @@ fn candidates<'i>(pattern: &Atom, subst: &Substitution, view: &InstanceView<'i>)
 ///
 /// Enumeration through the `_scratch` entry points resets and reuses these
 /// buffers, so steady-state matching performs no heap allocation at all —
-/// each chase worker (and the sequential engine) owns one scratch for its
-/// whole run. A fresh `MatchScratch::default()` is equally valid; the
-/// scratch-free wrappers construct one per call.
+/// the chase machine owns one scratch for its whole run. A fresh
+/// `MatchScratch::default()` is equally valid; the scratch-free wrappers
+/// construct one per call.
 #[derive(Debug, Default, Clone)]
 pub struct MatchScratch {
     subst: Substitution,
@@ -272,32 +189,16 @@ pub fn for_each_hom(
     pinned: Option<(usize, AtomId)>,
     f: &mut dyn FnMut(&Substitution) -> ControlFlow<()>,
 ) -> bool {
-    for_each_hom_view(atoms, var_count, &InstanceView::full(instance), init, pinned, f)
-}
-
-/// [`for_each_hom`] against an [`InstanceView`]: matching sees only the
-/// atoms visible through the view. With a prefix view this reproduces, to
-/// the enumeration order, exactly what [`for_each_hom`] returned when the
-/// instance had that many atoms — the property the parallel-round chase
-/// relies on for bit-identical trigger discovery on worker threads.
-pub fn for_each_hom_view(
-    atoms: &[Atom],
-    var_count: usize,
-    view: &InstanceView<'_>,
-    init: Option<&Substitution>,
-    pinned: Option<(usize, AtomId)>,
-    f: &mut dyn FnMut(&Substitution) -> ControlFlow<()>,
-) -> bool {
     let mut scratch = MatchScratch::default();
-    for_each_hom_scratch(atoms, var_count, view, init, pinned, &mut scratch, f)
+    for_each_hom_scratch(atoms, var_count, instance, init, pinned, &mut scratch, f)
 }
 
-/// [`for_each_hom_view`] with caller-owned scratch buffers: identical
+/// [`for_each_hom`] with caller-owned scratch buffers: identical
 /// enumeration, zero allocation once the scratch has warmed up.
 pub fn for_each_hom_scratch(
     atoms: &[Atom],
     var_count: usize,
-    view: &InstanceView<'_>,
+    instance: &Instance,
     init: Option<&Substitution>,
     pinned: Option<(usize, AtomId)>,
     scratch: &mut MatchScratch,
@@ -317,7 +218,7 @@ pub fn for_each_hom_scratch(
 
     // Pin first if requested: unify atoms[i] with the given fact up front.
     if let Some((idx, fact_id)) = pinned {
-        let fact = view.atom(fact_id);
+        let fact = instance.atom(fact_id);
         if fact.pred != atoms[idx].pred || fact.arity() != atoms[idx].arity() {
             return true;
         }
@@ -336,7 +237,7 @@ pub fn for_each_hom_scratch(
         remaining: &mut Vec<usize>,
         subst: &mut Substitution,
         trail: &mut Vec<VarId>,
-        view: &InstanceView<'_>,
+        instance: &Instance,
         f: &mut dyn FnMut(&Substitution) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if remaining.is_empty() {
@@ -346,22 +247,22 @@ pub fn for_each_hom_scratch(
         let (slot, _) = remaining
             .iter()
             .enumerate()
-            .map(|(slot, &i)| (slot, candidates(&atoms[i], subst, view).len()))
+            .map(|(slot, &i)| (slot, candidates(&atoms[i], subst, instance).len()))
             .min_by_key(|&(_, n)| n)
             .expect("remaining is non-empty");
         let atom_idx = remaining.swap_remove(slot);
         // The posting borrows the instance, not the substitution, so it can
         // be walked in place while bindings change — no copy needed.
-        let cands = candidates(&atoms[atom_idx], subst, view);
+        let cands = candidates(&atoms[atom_idx], subst, instance);
 
         for &fact_id in cands {
-            let fact = view.atom(fact_id);
+            let fact = instance.atom(fact_id);
             if fact.arity() != atoms[atom_idx].arity() {
                 continue;
             }
             let mark = trail.len();
             if unify_atom(&atoms[atom_idx], fact, subst, trail)
-                && recurse(atoms, remaining, subst, trail, view, f).is_break()
+                && recurse(atoms, remaining, subst, trail, instance, f).is_break()
             {
                 for v in trail.drain(mark..) {
                     subst.unbind(v);
@@ -382,7 +283,7 @@ pub fn for_each_hom_scratch(
         ControlFlow::Continue(())
     }
 
-    recurse(atoms, remaining, subst, trail, view, f).is_continue()
+    recurse(atoms, remaining, subst, trail, instance, f).is_continue()
 }
 
 /// Collects all homomorphisms from `atoms` into `instance`.
@@ -423,7 +324,7 @@ pub fn exists_extension_scratch(
     !for_each_hom_scratch(
         atoms,
         var_count,
-        &InstanceView::full(instance),
+        instance,
         Some(init),
         None,
         scratch,
@@ -621,69 +522,6 @@ mod tests {
         assert!(instance_hom_exists(&four, &two));
         assert!(!instance_hom_exists(&two, &four));
         assert!(!hom_equivalent(&two, &four));
-    }
-
-    #[test]
-    fn prefix_view_reproduces_the_historical_instance() {
-        // Insert edges one at a time; a prefix view of the final instance
-        // must enumerate exactly the homs the growing instance did.
-        let edges = [(0u32, 1u32), (1, 2), (2, 3), (1, 3), (3, 0)];
-        let body = [atom(0, vec![v(0), v(1)]), atom(0, vec![v(1), v(2)])];
-        let full = edge_instance(&edges);
-        for len in 0..=edges.len() {
-            let historical = edge_instance(&edges[..len]);
-            let expected = find_all_homs(&body, 3, &historical, None);
-            let view = InstanceView::prefix(&full, len);
-            let mut got = Vec::new();
-            for_each_hom_view(&body, 3, &view, None, None, &mut |s| {
-                got.push(s.clone());
-                ControlFlow::Continue(())
-            });
-            assert_eq!(got, expected, "prefix length {len}");
-        }
-    }
-
-    #[test]
-    fn prefix_view_hides_later_atoms_from_pinned_matching() {
-        let inst = edge_instance(&[(0, 1), (1, 2), (2, 3)]);
-        let body = [atom(0, vec![v(0), v(1)]), atom(0, vec![v(1), v(2)])];
-        let pinned_id = inst.id_of(&atom(0, vec![c(0), c(1)])).unwrap();
-        // Horizon 2: e(2,3) is invisible, so only 0->1->2 joins.
-        let view = InstanceView::prefix(&inst, 2);
-        let mut count = 0;
-        for_each_hom_view(&body, 3, &view, None, Some((0, pinned_id)), &mut |s| {
-            assert_eq!(s.get(VarId(2)), Some(c(2)));
-            count += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(count, 1);
-        // Full view additionally sees 0->1->2 and nothing else new for this
-        // pin (e(1,2),e(2,3) is pinned elsewhere), so counts match here; pin
-        // the middle edge to observe the difference.
-        let mid = inst.id_of(&atom(0, vec![c(1), c(2)])).unwrap();
-        let mut clipped = 0;
-        for_each_hom_view(&body, 3, &InstanceView::prefix(&inst, 2), None, Some((1, mid)), &mut |_| {
-            clipped += 1;
-            ControlFlow::Continue(())
-        });
-        let mut unclipped = 0;
-        for_each_hom_view(&body, 3, &InstanceView::full(&inst), None, Some((0, mid)), &mut |_| {
-            unclipped += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(clipped, 1);
-        assert_eq!(unclipped, 1);
-    }
-
-    #[test]
-    fn views_are_cheap_copies_and_clamp_their_length() {
-        let inst = edge_instance(&[(0, 1), (1, 2)]);
-        let view = InstanceView::prefix(&inst, 99);
-        let copy = view;
-        assert_eq!(copy.len(), 2);
-        assert_eq!(view.with_pred(PredId(0)).len(), 2);
-        assert!(InstanceView::prefix(&inst, 0).is_empty());
-        assert_eq!(InstanceView::prefix(&inst, 1).with_pred(PredId(0)).len(), 1);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! Atom ids are dense and monotone: `AtomId(i)` was inserted before
 //! `AtomId(j)` whenever `i < j`. The same holds for null ids. The
-//! termination procedures rely on both orders as birth timestamps, and the
-//! deterministic parallel merge relies on every posting list being in
-//! insertion order.
+//! termination procedures rely on both orders as birth timestamps, and
+//! every posting list is in insertion order, which fixes the matcher's
+//! enumeration order.
 
 use crate::atom::{Atom, AtomRef};
 use crate::fxhash::{FxHashMap, FxHasher};
@@ -340,8 +340,7 @@ impl Instance {
     /// Number of slab slots ever allocated (live atoms plus tombstones).
     ///
     /// This is the exclusive upper bound on atom ids: every id ever handed
-    /// out is `< slab_len()`. Prefix views and parallel-round horizons
-    /// must be expressed in this id space, not in live-atom counts.
+    /// out is `< slab_len()`.
     #[inline]
     pub fn slab_len(&self) -> usize {
         self.preds.len()
@@ -466,8 +465,8 @@ impl Instance {
     }
 }
 
-// The parallel-round chase shares instances read-only across worker
-// threads; keep the store free of interior mutability.
+// Instances cross threads (server jobs, seed-parallel experiments); keep
+// the store free of interior mutability.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Instance>();

@@ -46,8 +46,7 @@ pub use error::{CoreError, ParseError};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use homomorphism::{
     exists_extension, exists_extension_scratch, find_all_homs, for_each_hom, for_each_hom_scratch,
-    for_each_hom_view, hom_equivalent, instance_hom_exists, InstanceView, MatchScratch,
-    Substitution,
+    hom_equivalent, instance_hom_exists, MatchScratch, Substitution,
 };
 pub use ids::{AtomId, ConstId, NullId, PredId, Symbol, VarId};
 pub use instance::Instance;

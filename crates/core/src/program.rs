@@ -22,7 +22,7 @@ pub struct Program {
     facts: Vec<Atom>,
 }
 
-// Chase worker threads match rule bodies against a shared `&Program`.
+// Server jobs and seed-parallel experiments share programs across threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Program>();

@@ -19,8 +19,7 @@ use std::time::Instant;
 
 use chasekit_core::{
     exists_extension, exists_extension_scratch, for_each_hom, for_each_hom_scratch, AtomId,
-    FxHashMap, FxHashSet, Instance, InstanceView, MatchScratch, NullId, Program, Substitution,
-    Term,
+    FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program, Substitution, Term,
 };
 
 use crate::derivation::{Application, DerivationDag};
@@ -123,6 +122,20 @@ pub struct ChaseStats {
     pub nulls_minted: u64,
 }
 
+/// The four counters the benchmark harness reads from
+/// [`ChaseMachine::round_stats`]; always zero (see there).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct RoundStats {
+    /// Rounds driven.
+    pub rounds: u64,
+    /// Rounds fanned out to worker threads.
+    pub parallel_rounds: u64,
+    /// Discovery work items processed.
+    pub work_items: u64,
+    /// Widest pending frontier at a round start.
+    pub max_frontier: usize,
+}
+
 /// One applied chase step.
 #[derive(Debug, Clone)]
 pub struct StepEvent {
@@ -164,29 +177,20 @@ pub struct ChaseMachine<'p> {
     /// maintained incrementally (see `guard::approx_*_bytes`).
     pub(crate) approx_bytes: usize,
     pub(crate) cancel: Option<CancelToken>,
-    /// Round/worker counters of the parallel driver (see [`crate::round`]);
-    /// kept out of `ChaseStats` so chase counters stay mode-independent.
-    pub(crate) round_stats: crate::round::RoundStats,
     /// Installed trace sink, if any. Strictly observational: state
     /// transitions are identical with or without it (see [`crate::trace`]).
     pub(crate) trace: Option<TraceHandle>,
     /// Periodic progress reporter, polled on the guard-poll cadence.
     pub(crate) progress: Option<ProgressMeter>,
-    /// Write-ahead journal, one record per [`apply_core`](Self::apply_core)
-    /// — the apply phase is sequential in both drivers, so sequential and
-    /// parallel-round runs write bit-identical journals. A failed append
-    /// latches a sticky error and the run loops stop with
+    /// Write-ahead journal, one record per [`apply`](Self::apply). A
+    /// failed append latches a sticky error and the run loop stops with
     /// [`StopReason::Io`] at the next step boundary.
     pub(crate) journal: Option<crate::journal::JournalWriter>,
-    /// Reusable matcher buffers for the sequential discovery and
-    /// satisfaction-check paths; parallel-round workers own their own.
+    /// Reusable matcher buffers for trigger discovery and satisfaction
+    /// checks.
     pub(crate) scratch: MatchScratch,
-    /// Reusable head-image argument buffer for [`apply_core`](Self::apply_core).
+    /// Reusable head-image argument buffer for [`apply`](Self::apply).
     pub(crate) args_buf: Vec<Term>,
-    /// Persistent discovery worker pool, created lazily by the
-    /// parallel-round driver on the first fanned-out round and kept across
-    /// rounds (see [`crate::pool`]). Joined on drop.
-    pub(crate) pool: Option<crate::pool::DiscoveryPool>,
     /// Triggers the restricted variant skipped as already satisfied,
     /// recorded only when `track_derivation` is on. Incremental retraction
     /// must re-open a skip whose satisfaction witness was deleted
@@ -239,13 +243,11 @@ impl<'p> ChaseMachine<'p> {
             },
             approx_bytes: initial_bytes,
             cancel: None,
-            round_stats: crate::round::RoundStats::default(),
             trace,
             progress: None,
             journal: None,
             scratch: MatchScratch::default(),
             args_buf: Vec::new(),
-            pool: None,
             skipped: Vec::new(),
         };
         for rule_idx in 0..program.rules().len() {
@@ -300,15 +302,14 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// The journal's sticky append error, if an installed journal has
-    /// failed. The run loops poll this and stop with [`StopReason::Io`].
+    /// failed. The run loop polls this and stops with [`StopReason::Io`].
     pub fn journal_failed(&self) -> Option<&str> {
         self.journal.as_ref().and_then(|j| j.failed())
     }
 
     /// Installs a periodic progress callback, fired at most every `every`
-    /// on the guard-poll cadence of [`run`](Self::run) /
-    /// [`run_parallel`](Self::run_parallel). Reads the wall clock but
-    /// never touches deterministic state.
+    /// on the guard-poll cadence of [`run`](Self::run). Reads the wall
+    /// clock but never touches deterministic state.
     pub fn set_progress(
         &mut self,
         every: std::time::Duration,
@@ -318,7 +319,7 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Fires the progress callback if its interval elapsed.
-    pub(crate) fn poll_progress(&mut self) {
+    fn poll_progress(&mut self) {
         if let Some(p) = &mut self.progress {
             p.poll(
                 self.stats.applications,
@@ -380,7 +381,7 @@ impl<'p> ChaseMachine<'p> {
                 for_each_hom_scratch(
                     rule.body(),
                     rule.var_count(),
-                    &InstanceView::full(&self.instance),
+                    &self.instance,
                     None,
                     None,
                     &mut self.scratch,
@@ -393,7 +394,7 @@ impl<'p> ChaseMachine<'p> {
             }
             Some(atom_id) => matches_pinned(
                 self.program,
-                &InstanceView::full(&self.instance),
+                &self.instance,
                 rule_idx,
                 atom_id,
                 &mut self.scratch,
@@ -406,10 +407,10 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Admits one candidate trigger: dedups it against the identity set and
-    /// enqueues it if fresh, updating stats and the memory estimate. This is
-    /// the single merge point for both the sequential path and the
-    /// parallel-round driver, so admission order fully determines queue
-    /// order, the identity set, and the enqueue/dedup counters.
+    /// enqueues it if fresh, updating stats and the memory estimate. Every
+    /// discovered trigger passes through here, so admission order fully
+    /// determines queue order, the identity set, and the enqueue/dedup
+    /// counters.
     pub(crate) fn admit_trigger(&mut self, rule_idx: usize, subst: Substitution) {
         let rule = &self.program.rules()[rule_idx];
         let key = self.config.variant.trigger_key(rule, &subst);
@@ -431,7 +432,7 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Draws the next trigger according to the scheduling policy.
-    pub(crate) fn next_trigger(&mut self) -> Option<Trigger> {
+    fn next_trigger(&mut self) -> Option<Trigger> {
         let drawn = match self.config.scheduling {
             Scheduling::Fifo => self.queue.pop_front(),
             Scheduling::Random(_) => {
@@ -471,7 +472,7 @@ impl<'p> ChaseMachine<'p> {
     /// head is already satisfied in the *current* instance (in which case
     /// it is counted as a skip). Always false for the (semi-)oblivious
     /// variants.
-    pub(crate) fn skip_if_satisfied(&mut self, trigger: &Trigger) -> bool {
+    fn skip_if_satisfied(&mut self, trigger: &Trigger) -> bool {
         let rule = &self.program.rules()[trigger.rule];
         if self.config.variant.checks_satisfaction()
             && exists_extension_scratch(
@@ -503,37 +504,10 @@ impl<'p> ChaseMachine<'p> {
         }
     }
 
-    /// Applies one trigger unconditionally and discovers the triggers its
-    /// new atoms enable (the sequential path; also the parallel driver's
-    /// narrow-round path, where a frontier too small to fan out is cheaper
-    /// to chase inline than to batch through the two-phase split).
-    pub(crate) fn apply(&mut self, trigger: Trigger) -> StepEvent {
-        let event = self.apply_core(trigger);
-
-        // Discover triggers enabled by the new atoms.
-        if self.config.naive_matching {
-            if !event.new_atoms.is_empty() {
-                for rule_idx in 0..self.program.rules().len() {
-                    self.enqueue_matches(rule_idx, None);
-                }
-            }
-        } else {
-            for &id in &event.new_atoms {
-                for rule_idx in 0..self.program.rules().len() {
-                    self.enqueue_matches(rule_idx, Some(id));
-                }
-            }
-        }
-
-        event
-    }
-
-    /// Applies one trigger unconditionally *without* trigger discovery:
-    /// extends the substitution with fresh nulls, inserts the head images,
-    /// and records derivation/Skolem state. The parallel-round driver calls
-    /// this for every trigger of a round and defers discovery to the
-    /// round's parallel matching phase.
-    pub(crate) fn apply_core(&mut self, trigger: Trigger) -> StepEvent {
+    /// Applies one trigger unconditionally: extends the substitution with
+    /// fresh nulls, inserts the head images, records derivation/Skolem
+    /// state, and discovers the triggers the new atoms enable.
+    fn apply(&mut self, trigger: Trigger) -> StepEvent {
         let rule = &self.program.rules()[trigger.rule];
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -649,6 +623,21 @@ impl<'p> ChaseMachine<'p> {
             }
         }
 
+        // Discover triggers enabled by the new atoms.
+        if self.config.naive_matching {
+            if !new_atoms.is_empty() {
+                for rule_idx in 0..self.program.rules().len() {
+                    self.enqueue_matches(rule_idx, None);
+                }
+            }
+        } else {
+            for &id in &new_atoms {
+                for rule_idx in 0..self.program.rules().len() {
+                    self.enqueue_matches(rule_idx, Some(id));
+                }
+            }
+        }
+
         StepEvent { seq, new_atoms }
     }
 
@@ -689,6 +678,20 @@ impl<'p> ChaseMachine<'p> {
     pub fn run(&mut self, budget: &Budget) -> StopReason {
         let stop = self.run_loop(budget);
         self.finish(stop)
+    }
+
+    /// Same as [`run`](Self::run); `threads` is ignored. The chase is one
+    /// sequential run loop. This name stays only because the benchmark
+    /// harness (`chasebench/harness/src/probe_round.rs`) still calls it.
+    pub fn run_parallel(&mut self, budget: &Budget, _threads: usize) -> StopReason {
+        self.run(budget)
+    }
+
+    /// Always all zero: there are no rounds to count. This stays only
+    /// because the benchmark harness still reads it for its
+    /// `engine.round.*` metrics.
+    pub fn round_stats(&self) -> RoundStats {
+        RoundStats::default()
     }
 
     fn run_loop(&mut self, budget: &Budget) -> StopReason {
@@ -734,7 +737,7 @@ impl<'p> ChaseMachine<'p> {
     /// guard-trip execution event, every stop as a lifecycle stop event,
     /// and the sink is flushed. State is untouched, so calling `run` again
     /// (a new leg of the same machine) simply appends to the trace.
-    pub(crate) fn finish(&mut self, stop: StopReason) -> StopReason {
+    fn finish(&mut self, stop: StopReason) -> StopReason {
         if let Some(t) = &mut self.trace {
             if stop != StopReason::Saturated {
                 t.note(TraceEvent::GuardTrip { reason: stop });
@@ -751,7 +754,7 @@ impl<'p> ChaseMachine<'p> {
 
     /// A guardrail tripped — but if no trigger is pending the chase in fact
     /// saturated exactly at the boundary, which takes precedence.
-    pub(crate) fn boundary(&self, reason: StopReason) -> StopReason {
+    fn boundary(&self, reason: StopReason) -> StopReason {
         if self.queue.is_empty() {
             StopReason::Saturated
         } else {
@@ -760,22 +763,17 @@ impl<'p> ChaseMachine<'p> {
     }
 }
 
-/// Candidate triggers for `rule_idx` pinned to `atom_id`, matched against
-/// `view`, in the matcher's deterministic enumeration order (body position,
-/// then join order). Pure with respect to the machine: both the sequential
-/// path (with a full view of the live instance) and the parallel-round
-/// workers (with a prefix view at the producing application's boundary)
-/// funnel through this function, which is what makes their discovered
-/// trigger sequences coincide.
-pub(crate) fn matches_pinned(
+/// Candidate triggers for `rule_idx` pinned to `atom_id`, in the matcher's
+/// deterministic enumeration order (body position, then join order).
+fn matches_pinned(
     program: &Program,
-    view: &InstanceView<'_>,
+    instance: &Instance,
     rule_idx: usize,
     atom_id: AtomId,
     scratch: &mut MatchScratch,
 ) -> Vec<Substitution> {
     let rule = &program.rules()[rule_idx];
-    let pred = view.atom(atom_id).pred;
+    let pred = instance.atom(atom_id).pred;
     let mut found = Vec::new();
     for (body_idx, body_atom) in rule.body().iter().enumerate() {
         if body_atom.pred != pred {
@@ -784,7 +782,7 @@ pub(crate) fn matches_pinned(
         for_each_hom_scratch(
             rule.body(),
             rule.var_count(),
-            view,
+            instance,
             None,
             Some((body_idx, atom_id)),
             scratch,

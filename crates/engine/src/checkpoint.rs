@@ -240,13 +240,11 @@ impl Checkpoint {
             rng_state: self.rng_state,
             approx_bytes: atom_bytes + queue_bytes + seen_bytes,
             cancel: None,
-            round_stats: crate::round::RoundStats::default(),
             trace: None,
             progress: None,
             journal: None,
             scratch: chasekit_core::MatchScratch::default(),
             args_buf: Vec::new(),
-            pool: None,
             skipped: Vec::new(),
         })
     }
@@ -713,78 +711,6 @@ mod tests {
         for (_, atom) in straight.instance().iter() {
             assert!(resumed.instance().id_of_parts(atom.pred, atom.args).is_some());
         }
-    }
-
-    /// Cross-mode interop: a mid-run checkpoint taken under one execution
-    /// mode resumes under the other and still lands bit-identically on the
-    /// straight sequential run — execution mode is not part of the
-    /// checkpointed state.
-    fn assert_cross_mode_resume(text: &str, variant: ChaseVariant, cut: u64, total: u64) {
-        let p = Program::parse(text).unwrap();
-
-        let mut straight = ChaseMachine::new(&p, ChaseConfig::of(variant), facts(&p));
-        let straight_stop = straight.run(&Budget::applications(total));
-        let straight_text = straight.snapshot().to_text().unwrap();
-
-        // Sequential prefix, parallel continuation.
-        let mut seq_first = ChaseMachine::new(&p, ChaseConfig::of(variant), facts(&p));
-        let _ = seq_first.run(&Budget::applications(cut));
-        let snap = Checkpoint::from_text(&seq_first.snapshot().to_text().unwrap()).unwrap();
-        let mut par_resumed = snap.resume(&p).unwrap();
-        assert_eq!(
-            par_resumed.run_parallel(&Budget::applications(total), 4),
-            straight_stop,
-            "stop reason diverged resuming sequential -> parallel"
-        );
-        assert_eq!(
-            par_resumed.snapshot().to_text().unwrap(),
-            straight_text,
-            "state diverged resuming sequential -> parallel"
-        );
-
-        // Parallel prefix, sequential continuation.
-        let mut par_first = ChaseMachine::new(&p, ChaseConfig::of(variant), facts(&p));
-        let _ = par_first.run_parallel(&Budget::applications(cut), 4);
-        let snap = Checkpoint::from_text(&par_first.snapshot().to_text().unwrap()).unwrap();
-        let mut seq_resumed = snap.resume(&p).unwrap();
-        assert_eq!(
-            seq_resumed.run(&Budget::applications(total)),
-            straight_stop,
-            "stop reason diverged resuming parallel -> sequential"
-        );
-        assert_eq!(
-            seq_resumed.snapshot().to_text().unwrap(),
-            straight_text,
-            "state diverged resuming parallel -> sequential"
-        );
-    }
-
-    /// Paper Examples 1 and 2: checkpoints migrate between the sequential
-    /// and the parallel-round engine in both directions.
-    #[test]
-    fn checkpoints_are_interchangeable_between_execution_modes() {
-        for variant in
-            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
-        {
-            assert_cross_mode_resume(
-                "person(X) -> hasFather(X, Y), person(Y). person(bob).",
-                variant,
-                7,
-                90,
-            );
-            assert_cross_mode_resume("p(a, b). p(X, Y) -> p(Y, Z).", variant, 13, 70);
-        }
-    }
-
-    /// Same interop on a terminating workload: the saturated model is
-    /// reached from either mode's mid-run checkpoint.
-    #[test]
-    fn checkpoints_migrate_across_modes_on_terminating_workloads() {
-        let text = "e(a, b). e(b, c). e(c, d).
-                    e(X, Y) -> t(X, Y).
-                    e(X, Y), t(Y, Z) -> t(X, Z).";
-        assert_cross_mode_resume(text, ChaseVariant::SemiOblivious, 2, 100_000);
-        assert_cross_mode_resume(text, ChaseVariant::Restricted, 3, 100_000);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic, in-process fault injection for the durability layer.
 //!
-//! A **failpoint** is a named site in the engine's I/O and threading paths
+//! A **failpoint** is a named site in the engine's I/O paths
 //! (the catalog lives in [`points`]) where a test — or an operator via the
 //! [`ENV_VAR`] environment variable — can arm a fault: an injected I/O
-//! error, a short (torn) write, a worker panic, or a simulated kill
+//! error, a short (torn) write, a panic, or a simulated kill
 //! (`process::exit`). Faults fire on an exact hit count, so a plan like
 //! `journal.append=error@7` is a pure function of the process's execution
 //! — the same run trips the same syscall every time, which is what makes
@@ -17,7 +17,7 @@
 //! allocates, locks, or branches further on the hot path of an unarmed
 //! process — the durability ablation bench runs with the same binary.
 //!
-//! Failpoint state is process-global (sites fire from worker threads), so
+//! Failpoint state is process-global (sites fire from server threads), so
 //! tests that arm failpoints must serialize against each other; the crash
 //! recovery suite shares one mutex for this.
 
@@ -44,8 +44,6 @@ pub mod points {
     /// The atomic rename publishing a snapshot (firing `exit` here
     /// simulates a kill between the last journal append and the rename).
     pub const SNAPSHOT_RENAME: &str = "snapshot.rename";
-    /// Inside a parallel-round discovery worker (panic injection).
-    pub const ROUND_WORKER: &str = "round.worker";
     /// Server job admission: after the job's store files are durably
     /// written, before it is enqueued and acknowledged. Firing `exit` here
     /// simulates a kill in the admit window — the restarted server must
@@ -64,7 +62,6 @@ pub mod points {
         JOURNAL_TRUNCATE,
         SNAPSHOT_WRITE,
         SNAPSHOT_RENAME,
-        ROUND_WORKER,
         SERVE_ADMIT,
         SERVE_RESULT,
     ];
@@ -78,7 +75,7 @@ pub enum Action {
     /// Write only the first `n` bytes of the site's payload, then fail —
     /// a torn write, exactly what a mid-write crash leaves behind.
     ShortWrite(usize),
-    /// Panic at the site (worker-thread crash).
+    /// Panic at the site (a crash that unwinds instead of exiting).
     Panic,
     /// Exit the whole process with the given code (simulated kill).
     Exit(u8),
@@ -198,16 +195,6 @@ pub(crate) fn trip_io(name: &str) -> std::io::Result<Option<usize>> {
     }
 }
 
-/// [`fire`] for non-I/O sites (worker threads): every armed action that
-/// fires becomes a panic, except `Exit`, which exits the process.
-pub(crate) fn trip(name: &str) {
-    match fire(name) {
-        None => {}
-        Some(Action::Exit(code)) => std::process::exit(code.into()),
-        Some(_) => panic!("injected panic at failpoint `{name}`"),
-    }
-}
-
 /// The `io::Error` an armed `Error` action injects.
 pub(crate) fn injected(name: &str) -> std::io::Error {
     std::io::Error::other(format!("injected failpoint `{name}`"))
@@ -250,7 +237,7 @@ pub(crate) mod tests {
     #[test]
     fn spec_grammar_round_trips_every_action() {
         let _g = guard();
-        configure("journal.append=short:12@2; snapshot.write=error, round.worker=panic@5")
+        configure("journal.append=short:12@2; snapshot.write=error, journal.sync=panic@5")
             .unwrap();
         assert_eq!(fire(points::SNAPSHOT_WRITE), Some(Action::Error));
         assert_eq!(fire(points::JOURNAL_APPEND), None);

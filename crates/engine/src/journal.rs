@@ -18,10 +18,8 @@
 //! ...
 //! ```
 //!
-//! One `r` record per trigger application, appended from
-//! [`ChaseMachine::apply_core`](crate::ChaseMachine) in both the sequential
-//! and parallel-round drivers (the apply phase is sequential in both, so
-//! journal contents are bit-identical across `--threads`). Each record
+//! One `r` record per trigger application, appended by
+//! [`ChaseMachine::step`](crate::ChaseMachine). Each record
 //! carries a CRC32 over its own payload; records must be consecutive from
 //! `base + 1`. Recovery resumes the last good snapshot (or the genesis
 //! instance when no snapshot was ever published), truncates any torn or

@@ -33,16 +33,14 @@ pub mod guard;
 pub mod incremental;
 pub mod journal;
 pub mod metrics;
-pub(crate) mod pool;
 pub mod query;
-pub mod round;
 pub mod serve;
 pub mod trace;
 pub mod variant;
 
 pub use chase::{
     chase, chase_facts, contains_instance, is_model, ChaseConfig, ChaseMachine,
-    ChaseResult, ChaseStats, Scheduling, StepEvent,
+    ChaseResult, ChaseStats, RoundStats, Scheduling, StepEvent,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use guard::{Budget, CancelToken, StopReason};
@@ -59,7 +57,6 @@ pub use derivation::{Application, DerivationDag};
 pub use dot::derivation_to_dot;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink, RuleMetrics};
 pub use query::{certain_answers, certainly_holds, ConjunctiveQuery, QueryError};
-pub use round::RoundStats;
 pub use serve::{serve, JobReport, JobSpec, ServeConfig, ServerHandle};
 pub use trace::{
     core_seq, validate_trace_line, JsonlSink, MultiSink, ProgressReport, TraceEvent,

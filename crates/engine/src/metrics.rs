@@ -5,8 +5,8 @@
 //! with explicit buckets, and per-rule / per-predicate breakdowns. The
 //! registry exports deterministic JSON ([`MetricsRegistry::to_json`]).
 //!
-//! Histograms observe **logical quantities only** (atoms per application,
-//! frontier widths, work items per round) — never wall-clock durations.
+//! Histograms observe **logical quantities only** (atoms per application)
+//! — never wall-clock durations.
 //! Timing would make the registry nondeterministic and would require
 //! clock reads inside the chase hot loop; the deterministic core stays
 //! clock-free, and the progress reporter (which genuinely is about time)
@@ -102,8 +102,6 @@ pub struct MetricsRegistry {
 
 /// Bucket bounds for atoms-per-application (head sizes are small).
 const APPLY_BUCKETS: &[u64] = &[0, 1, 2, 4, 8];
-/// Bucket bounds for frontier widths and work items (grow with the run).
-const WIDTH_BUCKETS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096];
 
 impl MetricsRegistry {
     /// An empty registry labelled for `program`'s rules and predicates.
@@ -118,8 +116,6 @@ impl MetricsRegistry {
             .collect::<Vec<_>>();
         let mut histograms = BTreeMap::new();
         histograms.insert("apply.new_atoms".to_string(), Histogram::new(APPLY_BUCKETS));
-        histograms.insert("round.frontier".to_string(), Histogram::new(WIDTH_BUCKETS));
-        histograms.insert("round.work_items".to_string(), Histogram::new(WIDTH_BUCKETS));
         MetricsRegistry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -218,13 +214,6 @@ impl MetricsRegistry {
             }
             TraceEvent::CheckpointWrite { .. } => self.inc("checkpoint.writes", 1),
             TraceEvent::CheckpointResume { .. } => self.inc("checkpoint.resumes", 1),
-            TraceEvent::RoundOpen { frontier, .. } => {
-                self.inc("rounds.opened", 1);
-                self.observe("round.frontier", WIDTH_BUCKETS, *frontier as u64);
-            }
-            TraceEvent::RoundClose { work_items, .. } => {
-                self.observe("round.work_items", WIDTH_BUCKETS, *work_items as u64);
-            }
             TraceEvent::GuardTrip { reason } => {
                 self.inc(&format!("guard.trips.{}", reason.keyword()), 1);
             }

@@ -2,12 +2,11 @@
 //!
 //! A [`TraceSink`] receives a stream of [`TraceEvent`]s describing a run —
 //! triggers admitted/deduplicated/skipped, applications, atom insertions
-//! with provenance, stops, checkpoint writes/resumes, and (for the
-//! parallel driver) round boundaries and guard trips. Tracing is strictly
-//! **observational**: a traced run performs exactly the same state
-//! transitions as an untraced one, bit for bit, and when no sink is
-//! installed the machine pays nothing (event construction is deferred
-//! behind a closure that is never called).
+//! with provenance, stops, checkpoint writes/resumes, and guard trips.
+//! Tracing is strictly **observational**: a traced run performs exactly
+//! the same state transitions as an untraced one, bit for bit, and when no
+//! sink is installed the machine pays nothing (event construction is
+//! deferred behind a closure that is never called).
 //!
 //! ## Event classes and sequence numbers
 //!
@@ -18,18 +17,15 @@
 //!   increment (`TriggerAdmitted` ↔ `triggers_enqueued`, `TriggerDeduped` ↔
 //!   `triggers_deduped`, `TriggerSkipped` ↔ `satisfied_skips`, `Applied` ↔
 //!   `applications`, `AtomInserted` ↔ `atoms_added`). Each consumes one
-//!   **sequence number**. Because the parallel-round driver replays the
-//!   sequential admission order exactly, the core stream is identical at
-//!   every thread count — and because the next sequence number is a pure
+//!   **sequence number**. Because the next sequence number is a pure
 //!   function of the stats ([`core_seq`]), a resumed run continues the
 //!   numbering without the checkpoint format carrying any trace state.
 //! * **Lifecycle** events (`Stop`, `CheckpointWrite`, `CheckpointResume`)
 //!   annotate run boundaries. They reuse the current sequence number
 //!   without consuming one.
-//! * **Execution** events (`RoundOpen`, `RoundClose`, `GuardTrip`)
-//!   describe *how* the run was executed — rounds, worker fan-out, guard
-//!   poll outcomes. They are mode- and timing-dependent, so the default
-//!   [`JsonlSink`] excludes them; opt in with [`JsonlSink::full`].
+//! * **Execution** events (`GuardTrip`) describe *how* the run was
+//!   executed — guard poll outcomes. They are timing-dependent, so the
+//!   default [`JsonlSink`] excludes them; opt in with [`JsonlSink::full`].
 //!
 //! ## Wall-clock-free core
 //!
@@ -139,22 +135,6 @@ pub enum TraceEvent {
         /// `retract` edits applied.
         retracts: usize,
     },
-    /// Execution: a parallel round opened over the pending frontier.
-    RoundOpen {
-        /// Round number (1-based).
-        round: u64,
-        /// Pending triggers at round start.
-        frontier: usize,
-    },
-    /// Execution: a parallel round finished its discovery merge.
-    RoundClose {
-        /// Round number (1-based).
-        round: u64,
-        /// Discovery work items processed this round.
-        work_items: usize,
-        /// Worker threads the discovery fanned out to (1 = inline).
-        workers: usize,
-    },
     /// Execution: a guard poll tripped (budget, deadline, memory ceiling,
     /// or cancellation).
     GuardTrip {
@@ -164,8 +144,8 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Whether this is a core event (consumes a sequence number and is
-    /// identical at every thread count).
+    /// Whether this is a core event (consumes a sequence number and
+    /// mirrors one deterministic state transition).
     pub fn is_core(&self) -> bool {
         matches!(
             self,
@@ -177,15 +157,10 @@ impl TraceEvent {
         )
     }
 
-    /// Whether this is an execution event (mode/timing-dependent; excluded
+    /// Whether this is an execution event (timing-dependent; excluded
     /// from default JSONL traces).
     pub fn is_execution(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::RoundOpen { .. }
-                | TraceEvent::RoundClose { .. }
-                | TraceEvent::GuardTrip { .. }
-        )
+        matches!(self, TraceEvent::GuardTrip { .. })
     }
 }
 
@@ -254,8 +229,8 @@ impl TraceHandle {
 /// unknown fields and kinds.
 ///
 /// By default only core and lifecycle events are written, which makes the
-/// output byte-identical at every `--threads` count; [`JsonlSink::full`]
-/// also writes execution events (rounds, guard trips).
+/// output a deterministic function of the run; [`JsonlSink::full`] also
+/// writes execution events (guard trips).
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     full: bool,
@@ -335,14 +310,6 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
             ),
             TraceEvent::EditApply { adds, retracts } => format!(
                 "{{\"seq\":{seq},\"ev\":\"edit\",\"adds\":{adds},\"retracts\":{retracts}}}"
-            ),
-            TraceEvent::RoundOpen { round, frontier } => format!(
-                "{{\"seq\":{seq},\"ev\":\"round-open\",\"round\":{round},\
-                 \"frontier\":{frontier}}}"
-            ),
-            TraceEvent::RoundClose { round, work_items, workers } => format!(
-                "{{\"seq\":{seq},\"ev\":\"round-close\",\"round\":{round},\
-                 \"items\":{work_items},\"workers\":{workers}}}"
             ),
             TraceEvent::GuardTrip { reason } => format!(
                 "{{\"seq\":{seq},\"ev\":\"guard\",\"reason\":{}}}",
@@ -471,8 +438,6 @@ const SCHEMA: &[(&str, &[(&str, bool)])] = &[
     ("retract", &[("atoms", false), ("apps", false)]),
     ("rederive", &[("apps", false), ("atoms", false)]),
     ("edit", &[("adds", false), ("retracts", false)]),
-    ("round-open", &[("round", false), ("frontier", false)]),
-    ("round-close", &[("round", false), ("items", false), ("workers", false)]),
     ("guard", &[("reason", true)]),
 ];
 
@@ -631,8 +596,6 @@ mod tests {
             r#"{"seq":4,"ev":"retract","atoms":3,"apps":2}"#,
             r#"{"seq":4,"ev":"rederive","apps":1,"atoms":2}"#,
             r#"{"seq":7,"ev":"edit","adds":2,"retracts":1}"#,
-            r#"{"seq":2,"ev":"round-open","round":1,"frontier":4}"#,
-            r#"{"seq":8,"ev":"round-close","round":1,"items":6,"workers":4}"#,
             r#"{"seq":9,"ev":"guard","reason":"wall-clock"}"#,
         ] {
             validate_trace_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));

@@ -70,13 +70,11 @@ options:
                               after a crash: truncate the torn tail, replay
                               the journal, rewrite a clean snapshot, print a
                               recovery report, and exit 3 (without chasing)
-  --threads N                 (chase) worker threads for parallel-round
-                              execution (default: 1 = sequential; 0 = one
-                              per available core); results are bit-identical
-                              at every thread count
+  --threads N                 (chase) accepted for compatibility and
+                              ignored: the chase runs sequentially
   --trace FILE                (chase) write a JSONL event trace; composes
                               with --checkpoint (sequence numbers continue
-                              across resume) and every --threads count
+                              across resume)
   --metrics FILE              (chase) write a metrics-registry JSON report
                               (counters, histograms, per-rule/per-predicate)
   --progress SECS             (chase) print a progress line to stderr at
@@ -130,7 +128,6 @@ struct Args {
     journal: Option<String>,
     checkpoint_every: Option<u64>,
     recover: bool,
-    threads: usize,
     trace: Option<String>,
     metrics: Option<String>,
     progress: Option<u64>,
@@ -174,7 +171,6 @@ fn parse_args() -> Result<Args, String> {
         journal: None,
         checkpoint_every: None,
         recover: false,
-        threads: 1,
         trace: None,
         metrics: None,
         progress: None,
@@ -186,7 +182,7 @@ fn parse_args() -> Result<Args, String> {
         edits: None,
         keep_completed: None,
     };
-    // The host's available parallelism, for `--threads 0` / `--workers 0`.
+    // The host's available parallelism, for `--workers 0`.
     fn detected_parallelism() -> usize {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
@@ -237,9 +233,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--recover" => out.recover = true,
             "--threads" => {
-                let n: usize = number(&mut argv, "--threads")?;
-                // 0 means "use every core the host offers".
-                out.threads = if n == 0 { detected_parallelism() } else { n };
+                // Still validated, but the chase has one sequential loop.
+                let _: usize = number(&mut argv, "--threads")?;
             }
             "--trace" => out.trace = Some(value(&mut argv, "--trace")?),
             "--metrics" => out.metrics = Some(value(&mut argv, "--metrics")?),
@@ -820,7 +815,7 @@ fn main() -> ExitCode {
                 if let Some(bytes) = args.max_mem {
                     budget = budget.with_memory(bytes);
                 }
-                let stop = machine.run_parallel(&budget, args.threads);
+                let stop = machine.run(&budget);
                 // A snapshot leg ended with overall budget to spare: publish
                 // a periodic snapshot, re-base the journal, keep going.
                 if stop == StopReason::Applications && target < args.steps {

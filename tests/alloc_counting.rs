@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use chasekit_core::{
-    exists_extension_scratch, for_each_hom_scratch, CriticalInstance, InstanceView, MatchScratch,
-    Program, Substitution,
+    exists_extension_scratch, for_each_hom_scratch, CriticalInstance, MatchScratch, Program,
+    Substitution,
 };
 
 /// `System`, with a count of every allocation it hands out.
@@ -63,7 +63,6 @@ fn warm_scratch_matching_does_not_allocate() {
         instance.insert(f.clone());
     }
 
-    let view = InstanceView::full(&instance);
     let rule_bodies: Vec<(Vec<chasekit_core::Atom>, usize)> = program
         .rules()
         .iter()
@@ -78,7 +77,7 @@ fn warm_scratch_matching_does_not_allocate() {
     // Warm-up pass: scratch buffers grow to their steady-state capacity
     // here; allocations are expected and not counted against the budget.
     for (body, vars) in &rule_bodies {
-        for_each_hom_scratch(body, *vars, &view, None, None, &mut scratch, &mut |_s| {
+        for_each_hom_scratch(body, *vars, &instance, None, None, &mut scratch, &mut |_s| {
             count += 1;
             std::ops::ControlFlow::Continue(())
         });
@@ -91,7 +90,7 @@ fn warm_scratch_matching_does_not_allocate() {
     let before = allocs();
     let mut count2 = 0u64;
     for (body, vars) in &rule_bodies {
-        for_each_hom_scratch(body, *vars, &view, None, None, &mut scratch, &mut |_s| {
+        for_each_hom_scratch(body, *vars, &instance, None, None, &mut scratch, &mut |_s| {
             count2 += 1;
             std::ops::ControlFlow::Continue(())
         });

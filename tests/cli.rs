@@ -234,23 +234,20 @@ fn memory_ceiling_exits_13() {
     assert!(stdout.contains("memory"), "{stdout}");
 }
 
+/// `--threads N` is an accepted no-op: the chase has one sequential run
+/// loop, so any count prints exactly what the run without the flag
+/// prints.
 #[test]
 fn threaded_chase_output_is_identical_to_the_sequential_default() {
     let path = write_rules(
         "threads-eq.rules",
         "e(a, b). e(X, Y) -> e(Y, Z). e(X, Y) -> f(Y, W). f(X, Y) -> e(Y, Z).",
     );
-    let (seq_out, _, seq_code) = run(&["chase", path.to_str().unwrap(), "--steps", "120"]);
+    let rules = path.to_str().unwrap();
+    let (seq_out, _, seq_code) = run(&["chase", rules, "--steps", "120"]);
     assert_eq!(seq_code, Some(10), "{seq_out}");
-    for threads in ["2", "4", "8"] {
-        let (par_out, _, par_code) = run(&[
-            "chase",
-            path.to_str().unwrap(),
-            "--steps",
-            "120",
-            "--threads",
-            threads,
-        ]);
+    for threads in ["1", "2", "4", "8"] {
+        let (par_out, _, par_code) = run(&["chase", rules, "--steps", "120", "--threads", threads]);
         assert_eq!(par_code, seq_code, "--threads {threads}");
         // The whole printed report — outcome line, counters, and every
         // atom with its null numbering — must match byte for byte.
@@ -258,21 +255,22 @@ fn threaded_chase_output_is_identical_to_the_sequential_default() {
     }
 }
 
+/// `--threads 0` (once "one worker per core") is accepted like any other
+/// count and prints what the run without the flag prints; the value is
+/// still validated as a number, and `serve --workers` likewise.
 #[test]
 fn threads_zero_auto_detects_and_garbage_is_a_named_error() {
     let path = write_rules(
         "threads-auto.rules",
         "e(a, b). e(X, Y) -> e(Y, Z). e(X, Y) -> f(Y, W). f(X, Y) -> e(Y, Z).",
     );
-    // `--threads 0` means one worker per available core — the run must
-    // succeed and stay bit-identical to the sequential default.
-    let (seq_out, _, seq_code) = run(&["chase", path.to_str().unwrap(), "--steps", "120"]);
-    let (auto_out, _, auto_code) =
-        run(&["chase", path.to_str().unwrap(), "--steps", "120", "--threads", "0"]);
+    let rules = path.to_str().unwrap();
+    let (seq_out, _, seq_code) = run(&["chase", rules, "--steps", "120"]);
+    let (auto_out, _, auto_code) = run(&["chase", rules, "--steps", "120", "--threads", "0"]);
     assert_eq!(auto_code, seq_code, "{auto_out}");
     assert_eq!(auto_out, seq_out);
     // Garbage values still produce a named argument error, not a panic.
-    let (_, stderr, code) = run(&["chase", path.to_str().unwrap(), "--threads", "lots"]);
+    let (_, stderr, code) = run(&["chase", rules, "--threads", "lots"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("`--threads`"), "{stderr}");
     assert!(stderr.contains("`lots`"), "{stderr}");
@@ -327,7 +325,8 @@ fn checkpoint_written_sequentially_resumes_under_threads_and_vice_versa() {
     let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("threads.ckpt");
     let _ = std::fs::remove_file(&ckpt);
 
-    // Sequential leg writes the checkpoint; threaded leg resumes it.
+    // A leg without the flag writes the checkpoint; a `--threads` leg
+    // resumes it.
     let (_, _, code) = run(&[
         "chase",
         path.to_str().unwrap(),
@@ -350,7 +349,7 @@ fn checkpoint_written_sequentially_resumes_under_threads_and_vice_versa() {
     assert_eq!(code, Some(10), "{resumed_out}");
     assert!(resumed_out.contains("resuming from checkpoint"), "{resumed_out}");
 
-    // And back: the threaded leg's checkpoint resumes sequentially.
+    // And back: the `--threads` leg's checkpoint resumes without it.
     let (final_out, _, code) = run(&[
         "chase",
         path.to_str().unwrap(),
@@ -523,26 +522,21 @@ fn traced_chase_output_is_identical_to_untraced() {
     let trace = std::env::temp_dir().join("chasekit-cli-tests").join("free.jsonl");
     let (plain_out, _, plain_code) =
         run(&["chase", path.to_str().unwrap(), "--steps", "80"]);
-    for threads in ["1", "4"] {
-        let (traced_out, _, traced_code) = run(&[
-            "chase",
-            path.to_str().unwrap(),
-            "--steps",
-            "80",
-            "--threads",
-            threads,
-            "--trace",
-            trace.to_str().unwrap(),
-        ]);
-        assert_eq!(traced_code, plain_code, "--threads {threads}");
-        // Tracing must not perturb the run: the whole printed report —
-        // outcome counters and every atom — matches byte for byte.
-        assert_eq!(traced_out, plain_out, "--threads {threads}");
-        let text = std::fs::read_to_string(&trace).unwrap();
-        for line in text.lines() {
-            chasekit::engine::validate_trace_line(line)
-                .unwrap_or_else(|e| panic!("--threads {threads}: `{line}`: {e}"));
-        }
+    let (traced_out, _, traced_code) = run(&[
+        "chase",
+        path.to_str().unwrap(),
+        "--steps",
+        "80",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(traced_code, plain_code);
+    // Tracing must not perturb the run: the whole printed report —
+    // outcome counters and every atom — matches byte for byte.
+    assert_eq!(traced_out, plain_out);
+    let text = std::fs::read_to_string(&trace).unwrap();
+    for line in text.lines() {
+        chasekit::engine::validate_trace_line(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
     }
     let _ = std::fs::remove_file(&trace);
 }
@@ -612,8 +606,6 @@ fn trace_with_checkpoint_resume_is_contiguous_with_a_straight_run() {
         path.to_str().unwrap(),
         "--steps",
         "60",
-        "--threads",
-        "4",
         "--checkpoint",
         ckpt.to_str().unwrap(),
         "--trace",
@@ -845,12 +837,16 @@ fn serve_and_flush_flags_are_validated_up_front() {
     assert!(stderr.contains("--journal-flush-every"), "{stderr}");
     assert!(stderr.contains("--journal"), "{stderr}");
     // Zero is not a batch size or a queue depth (`--workers 0` is valid:
-    // it means auto-detect, covered by the threads-auto test).
+    // it means one worker per available core).
     for flag in ["--journal-flush-every", "--queue"] {
         let (_, stderr, code) = run(&["serve", "--store", "/tmp/nope", flag, "0"]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");
         assert!(stderr.contains(flag), "{flag}: {stderr}");
     }
+    // A negative worker count is a named argument error.
+    let (_, stderr, code) = run(&["serve", "--store", "/tmp/never", "--workers", "-3"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("`--workers`"), "{stderr}");
 }
 
 #[test]

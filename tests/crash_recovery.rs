@@ -3,7 +3,7 @@
 //! The headline guarantee under test: **kill the chase at any injected
 //! fault point, recover from the journal + last good snapshot, continue —
 //! and the final state is bit-identical to a run that never crashed**, for
-//! every corpus program, all three chase variants, at 1, 2, and 4 threads.
+//! every corpus program and all three chase variants.
 //! "Bit-identical" is checkpoint-text equality (instance, queue, identity
 //! set, RNG state, counters — hence also the trace `core_seq`), plus
 //! derivation-DAG and Skolem-ancestry equality for tracked runs, plus
@@ -13,9 +13,8 @@
 //! one serializes on [`FAILPOINT_LOCK`]. The spawned-binary tests pass the
 //! spec through `CHASEKIT_FAILPOINTS` instead and need no lock.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 
@@ -65,63 +64,57 @@ fn budget(total: u64) -> Budget {
 
 /// Drives a journaled run with periodic snapshots the way the CLI does,
 /// abandoning everything mid-flight at the first durability casualty — a
-/// sticky journal error ([`StopReason::Io`]), a failed snapshot/sync, or
-/// an injected worker panic. Whatever the files hold at that moment is
-/// exactly what a killed process leaves behind.
+/// sticky journal error ([`StopReason::Io`]) or a failed snapshot/sync.
+/// Whatever the files hold at that moment is exactly what a killed
+/// process leaves behind.
 #[allow(clippy::too_many_arguments)]
 fn durable_run_until_crash(
     program: &Program,
     variant: ChaseVariant,
     initial: &Instance,
-    threads: usize,
     every: u64,
     total: u64,
     ckpt: &Path,
     journal: &Path,
     flush_every: u64,
 ) {
-    let run = AssertUnwindSafe(|| {
-        let cfg = ChaseConfig::of(variant);
-        let mut machine = ChaseMachine::new(program, cfg, initial.clone());
-        match JournalWriter::for_machine(journal, &machine) {
-            Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
-            Err(_) => return, // crashed creating the journal
+    let cfg = ChaseConfig::of(variant);
+    let mut machine = ChaseMachine::new(program, cfg, initial.clone());
+    match JournalWriter::for_machine(journal, &machine) {
+        Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
+        Err(_) => return, // crashed creating the journal
+    }
+    loop {
+        let target = machine.stats().applications.saturating_add(every).min(total);
+        let stop = machine.run(&budget(target));
+        if stop == StopReason::Io {
+            return; // journal write died; run stopped at a boundary
         }
-        loop {
-            let target = machine.stats().applications.saturating_add(every).min(total);
-            let stop = machine.run_parallel(&budget(target), threads);
-            if stop == StopReason::Io {
-                return; // journal write died; run stopped at a boundary
-            }
-            if stop == StopReason::Applications && target < total {
-                // Periodic snapshot: sync journal, publish, re-base.
-                let text = machine.snapshot().to_text().unwrap();
-                let mut j = machine.take_journal().unwrap();
-                if j.sync().is_err() {
-                    return;
-                }
-                if write_snapshot_atomic(ckpt, &text).is_err() {
-                    return;
-                }
-                match JournalWriter::for_machine(journal, &machine) {
-                    Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
-                    Err(_) => return,
-                }
-                continue;
-            }
-            // Ran to the end without a casualty (the fault never landed in
-            // an executed window): publish the final state cleanly.
+        if stop == StopReason::Applications && target < total {
+            // Periodic snapshot: sync journal, publish, re-base.
             let text = machine.snapshot().to_text().unwrap();
-            if let Some(mut j) = machine.take_journal() {
-                let _ = j.sync();
+            let mut j = machine.take_journal().unwrap();
+            if j.sync().is_err() {
+                return;
             }
-            let _ = write_snapshot_atomic(ckpt, &text);
-            return;
+            if write_snapshot_atomic(ckpt, &text).is_err() {
+                return;
+            }
+            match JournalWriter::for_machine(journal, &machine) {
+                Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
+                Err(_) => return,
+            }
+            continue;
         }
-    });
-    // An injected worker panic unwinds out of run_parallel; the files are
-    // the crash scene either way.
-    let _ = catch_unwind(run);
+        // Ran to the end without a casualty (the fault never landed in
+        // an executed window): publish the final state cleanly.
+        let text = machine.snapshot().to_text().unwrap();
+        if let Some(mut j) = machine.take_journal() {
+            let _ = j.sync();
+        }
+        let _ = write_snapshot_atomic(ckpt, &text);
+        return;
+    }
 }
 
 /// Recovers from whatever `durable_run_until_crash` left on disk and runs
@@ -130,7 +123,6 @@ fn recover_and_finish(
     program: &Program,
     variant: ChaseVariant,
     initial: &Instance,
-    threads: usize,
     total: u64,
     ckpt: &Path,
     journal: &Path,
@@ -145,12 +137,12 @@ fn recover_and_finish(
         ChaseConfig::of(variant),
     )
     .expect("crash scenes always recover");
-    machine.run_parallel(&budget(total), threads);
+    machine.run(&budget(total));
     state_text(&machine)
 }
 
 /// Every failpoint the durability layer exposes, armed at a hit index that
-/// lands inside a short run. `round.worker` only fires with real fan-out.
+/// lands inside a short run.
 const FAULT_PLANS: &[&str] = &[
     "journal.append=error@7",
     "journal.append=short:3@13",
@@ -160,11 +152,10 @@ const FAULT_PLANS: &[&str] = &[
     "snapshot.rename=error@1",
     "journal.truncate=short:10@1",
     "journal.truncate=short:10@2",
-    "round.worker=panic@3",
 ];
 
 /// The headline differential: corpus (which includes paper Examples 1–2)
-/// × all variants × every failpoint × 1/2/4 threads. Crash, recover,
+/// × all variants × every failpoint. Crash, recover,
 /// continue — final checkpoint text must equal the uninterrupted run's.
 #[test]
 fn kill_at_every_failpoint_recovers_bit_identical() {
@@ -179,8 +170,7 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
         let mut program = family.program;
         let initial = seed(&mut program);
         for variant in VARIANTS {
-            // Uninterrupted reference (sequential; PR-2 guarantees every
-            // thread count matches it).
+            // Uninterrupted reference.
             failpoint::clear();
             let mut reference = ChaseMachine::new(
                 &program,
@@ -191,26 +181,15 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
             let want = state_text(&reference);
 
             for plan in FAULT_PLANS {
-                for threads in [1usize, 2, 4] {
-                    if plan.starts_with("round.worker") && threads == 1 {
-                        continue; // no workers to panic
-                    }
-                    let _ = std::fs::remove_file(&ckpt);
-                    let _ = std::fs::remove_file(&journal);
-                    failpoint::configure(plan).unwrap();
-                    durable_run_until_crash(
-                        &program, variant, &initial, threads, EVERY, TOTAL, &ckpt, &journal, 1,
-                    );
-                    failpoint::clear();
-                    let got = recover_and_finish(
-                        &program, variant, &initial, threads, TOTAL, &ckpt, &journal,
-                    );
-                    assert_eq!(
-                        want, got,
-                        "{}: {variant:?} diverged after `{plan}` @ {threads} threads",
-                        family.name
-                    );
-                }
+                let _ = std::fs::remove_file(&ckpt);
+                let _ = std::fs::remove_file(&journal);
+                failpoint::configure(plan).unwrap();
+                durable_run_until_crash(
+                    &program, variant, &initial, EVERY, TOTAL, &ckpt, &journal, 1,
+                );
+                failpoint::clear();
+                let got = recover_and_finish(&program, variant, &initial, TOTAL, &ckpt, &journal);
+                assert_eq!(want, got, "{}: {variant:?} diverged after `{plan}`", family.name);
             }
         }
     }
@@ -221,8 +200,7 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
 /// buffered batch plus a torn line to a crash, but what survives is
 /// always a valid journal prefix — so recover-and-continue still lands
 /// bit-identical to the uninterrupted run. A reduced corpus slice keeps
-/// the sweep affordable; the fault plans and thread counts are the full
-/// set that exercises batching (`round.worker` needs fan-out).
+/// the sweep affordable; the fault plans are the full set.
 #[test]
 fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
     let _g = failpoint_guard();
@@ -244,35 +222,27 @@ fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
 
             for flush_every in [8u64, 64] {
                 for plan in FAULT_PLANS {
-                    for threads in [1usize, 4] {
-                        if plan.starts_with("round.worker") && threads == 1 {
-                            continue;
-                        }
-                        let _ = std::fs::remove_file(&ckpt);
-                        let _ = std::fs::remove_file(&journal);
-                        failpoint::configure(plan).unwrap();
-                        durable_run_until_crash(
-                            &program,
-                            variant,
-                            &initial,
-                            threads,
-                            EVERY,
-                            TOTAL,
-                            &ckpt,
-                            &journal,
-                            flush_every,
-                        );
-                        failpoint::clear();
-                        let got = recover_and_finish(
-                            &program, variant, &initial, threads, TOTAL, &ckpt, &journal,
-                        );
-                        assert_eq!(
-                            want, got,
-                            "{}: {variant:?} diverged after `{plan}` @ {threads} threads, \
-                             flush-every {flush_every}",
-                            family.name
-                        );
-                    }
+                    let _ = std::fs::remove_file(&ckpt);
+                    let _ = std::fs::remove_file(&journal);
+                    failpoint::configure(plan).unwrap();
+                    durable_run_until_crash(
+                        &program,
+                        variant,
+                        &initial,
+                        EVERY,
+                        TOTAL,
+                        &ckpt,
+                        &journal,
+                        flush_every,
+                    );
+                    failpoint::clear();
+                    let got =
+                        recover_and_finish(&program, variant, &initial, TOTAL, &ckpt, &journal);
+                    assert_eq!(
+                        want, got,
+                        "{}: {variant:?} diverged after `{plan}`, flush-every {flush_every}",
+                        family.name
+                    );
                 }
             }
         }
@@ -303,7 +273,7 @@ fn derivation_and_ancestry_survive_interrupt_resume() {
                 first.run(&budget(cut));
                 let snap = first.snapshot();
                 let mut resumed = snap.resume(&program).unwrap();
-                resumed.run_parallel(&budget(90), 4);
+                resumed.run(&budget(90));
                 assert_eq!(
                     format!("{:?}", straight.derivation()),
                     format!("{:?}", resumed.derivation()),
@@ -368,7 +338,7 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&journal);
         failpoint::configure("journal.append=error@31").unwrap();
-        durable_run_until_crash(&program, variant, &initial, 1, 20, 80, &ckpt, &journal, 1);
+        durable_run_until_crash(&program, variant, &initial, 20, 80, &ckpt, &journal, 1);
         failpoint::clear();
 
         let snapshot_text = std::fs::read_to_string(&ckpt).ok();
@@ -399,7 +369,7 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
     }
 }
 
-/// A journal append failure (real I/O error) stops both drivers with
+/// A journal append failure (real I/O error) stops the run with
 /// [`StopReason::Io`] at a step boundary, leaving a consistent machine.
 #[test]
 fn journal_failure_stops_with_io_at_a_boundary() {
@@ -409,23 +379,18 @@ fn journal_failure_stops_with_io_at_a_boundary() {
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
 
-    for threads in [1usize, 4] {
-        failpoint::configure("journal.append=error@10").unwrap();
-        let mut machine = ChaseMachine::new(
-            &program,
-            ChaseConfig::of(ChaseVariant::Oblivious),
-            initial.clone(),
-        );
-        let journal = dir.join(format!("io-{threads}.journal"));
-        machine.set_journal(JournalWriter::for_machine(&journal, &machine).unwrap());
-        let stop = machine.run_parallel(&budget(100), threads);
-        failpoint::clear();
-        assert_eq!(stop, StopReason::Io, "@ {threads} threads");
-        assert!(machine.journal_failed().is_some());
-        // The machine is still consistent: it can snapshot and resume.
-        let text = state_text(&machine);
-        Checkpoint::from_text(&text).unwrap().resume(&program).unwrap();
-    }
+    failpoint::configure("journal.append=error@10").unwrap();
+    let mut machine =
+        ChaseMachine::new(&program, ChaseConfig::of(ChaseVariant::Oblivious), initial);
+    let journal = dir.join("io.journal");
+    machine.set_journal(JournalWriter::for_machine(&journal, &machine).unwrap());
+    let stop = machine.run(&budget(100));
+    failpoint::clear();
+    assert_eq!(stop, StopReason::Io);
+    assert!(machine.journal_failed().is_some());
+    // The machine is still consistent: it can snapshot and resume.
+    let text = state_text(&machine);
+    Checkpoint::from_text(&text).unwrap().resume(&program).unwrap();
 }
 
 /// `needs_recovery` draws the line exactly where work would be lost.
@@ -463,9 +428,25 @@ fn needs_recovery_spots_unreplayed_tails() {
 // Corruption tolerance: no bytes on disk may panic the recovery path.
 // ---------------------------------------------------------------------------
 
+/// Program, initial instance, reference states by application count, and
+/// the crash-scene snapshot + journal the corruption cases mutate.
+type CorruptionFixture = (Program, Instance, Vec<String>, String, Vec<u8>);
+
+/// The corruption fixture, built once per process and cloned for each
+/// proptest case. Both corruption suites use it; rebuilding it per case in
+/// one shared scratch directory would let one suite delete the other's
+/// journal while libtest runs them in parallel.
+fn corruption_fixture() -> CorruptionFixture {
+    static FIXTURE: OnceLock<CorruptionFixture> = OnceLock::new();
+    FIXTURE.get_or_init(build_corruption_fixture).clone()
+}
+
 /// Reference states for every application count, plus the crash-scene
-/// snapshot + journal the corruption cases mutate.
-fn corruption_fixture() -> (Program, Instance, Vec<String>, String, Vec<u8>) {
+/// snapshot + journal. Holds the failpoint lock so no fault armed by a
+/// concurrent test lands in the fixture's journal.
+fn build_corruption_fixture() -> CorruptionFixture {
+    let _g = failpoint_guard();
+    failpoint::clear();
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);

@@ -5,9 +5,7 @@
 //! `tests/golden/`. Any schema change shows up as a diff here (regenerate
 //! deliberately with `UPDATE_GOLDEN=1 cargo test --test golden_trace`),
 //! and every emitted line must pass the closed-schema validator — the
-//! guard against silent drift. Default traces contain only core and
-//! lifecycle events, so they are also byte-identical at every thread
-//! count; that invariance is asserted directly.
+//! guard against silent drift.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -58,7 +56,7 @@ impl std::io::Write for SharedBuf {
 }
 
 /// Runs `text` under `variant` with a JSONL sink and returns the trace.
-fn trace_of(text: &str, variant: ChaseVariant, threads: usize) -> String {
+fn trace_of(text: &str, variant: ChaseVariant) -> String {
     let program = Program::parse(text).unwrap();
     let initial = Instance::from_atoms(program.facts().iter().cloned());
     let buf = SharedBuf::new();
@@ -69,12 +67,7 @@ fn trace_of(text: &str, variant: ChaseVariant, threads: usize) -> String {
         initial,
         Box::new(sink),
     );
-    let budget = Budget::applications(BUDGET_APPLICATIONS);
-    if threads <= 1 {
-        machine.run(&budget);
-    } else {
-        machine.run_parallel(&budget, threads);
-    }
+    machine.run(&Budget::applications(BUDGET_APPLICATIONS));
     buf.contents()
 }
 
@@ -86,7 +79,7 @@ fn golden_path(name: &str) -> PathBuf {
 fn golden_traces_are_byte_stable() {
     for (example, text) in EXAMPLES {
         for (variant, tag) in VARIANTS {
-            let got = trace_of(text, variant, 1);
+            let got = trace_of(text, variant);
             let path = golden_path(&format!("{example}_{tag}.jsonl"));
             if std::env::var("UPDATE_GOLDEN").is_ok() {
                 std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -111,7 +104,7 @@ fn golden_traces_are_byte_stable() {
 fn golden_traces_pass_the_closed_schema() {
     for (example, text) in EXAMPLES {
         for (variant, _) in VARIANTS {
-            let trace = trace_of(text, variant, 1);
+            let trace = trace_of(text, variant);
             assert!(!trace.is_empty(), "{example} {variant:?} produced no events");
             for line in trace.lines() {
                 validate_trace_line(line)
@@ -120,22 +113,6 @@ fn golden_traces_pass_the_closed_schema() {
             // The stream must end with the lifecycle stop record.
             let last = trace.lines().last().unwrap();
             assert_eq!(validate_trace_line(last).unwrap(), "stop", "{example} {variant:?}");
-        }
-    }
-}
-
-#[test]
-fn default_traces_are_identical_at_every_thread_count() {
-    for (example, text) in EXAMPLES {
-        for (variant, _) in VARIANTS {
-            let sequential = trace_of(text, variant, 1);
-            for threads in [2, 4] {
-                assert_eq!(
-                    sequential,
-                    trace_of(text, variant, threads),
-                    "{example} {variant:?}: trace differs at {threads} threads"
-                );
-            }
         }
     }
 }
@@ -228,7 +205,7 @@ fn update_run_is_unchanged_by_tracing() {
 fn sequence_numbers_are_contiguous() {
     for (example, text) in EXAMPLES {
         for (variant, _) in VARIANTS {
-            let trace = trace_of(text, variant, 1);
+            let trace = trace_of(text, variant);
             let mut expected = 0u64;
             for line in trace.lines() {
                 let kind = validate_trace_line(line).unwrap();

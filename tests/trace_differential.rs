@@ -3,9 +3,8 @@
 //!
 //! A traced run and an untraced run must be bit-identical — same
 //! checkpoint text (instance, queue, identity set, RNG, stats), same stop
-//! reason — at 1, 2, and 4 threads, over the full datagen corpus and 50
-//! proptest-generated programs. The trace itself must be byte-identical
-//! across thread counts. And the metrics registry must reconcile exactly
+//! reason — over the full datagen corpus and 50 proptest-generated
+//! programs. And the metrics registry must reconcile exactly
 //! with [`ChaseStats`] and with the trace event stream, including under
 //! random scheduling and on a 2000-seed population of random guarded
 //! programs.
@@ -65,9 +64,8 @@ impl std::io::Write for SharedBuf {
     }
 }
 
-/// Runs the untraced sequential oracle, then traced runs at 1/2/4 threads,
-/// asserting bit-identity of state and byte-identity of traces. Returns
-/// the trace for further checks.
+/// Runs the untraced oracle, then the same run traced, asserting
+/// bit-identity of state. Returns the trace for further checks.
 fn assert_tracing_is_free(
     label: &str,
     program: &Program,
@@ -81,29 +79,13 @@ fn assert_tracing_is_free(
     let text = state_text(&plain);
     let stats = plain.stats().clone();
 
-    let mut traces: Vec<String> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let buf = SharedBuf::new();
-        let sink = JsonlSink::new(buf.clone(), program);
-        let mut traced =
-            ChaseMachine::new_with_trace(program, cfg, initial.clone(), Box::new(sink));
-        let traced_stop = if threads <= 1 {
-            traced.run(budget)
-        } else {
-            traced.run_parallel(budget, threads)
-        };
-        assert_eq!(stop, traced_stop, "{label}: {variant:?} stop @ {threads} threads");
-        assert_eq!(
-            text,
-            state_text(&traced),
-            "{label}: {variant:?} traced state diverged @ {threads} threads"
-        );
-        assert_eq!(&stats, traced.stats(), "{label}: {variant:?} stats @ {threads} threads");
-        traces.push(buf.contents());
-    }
-    assert_eq!(traces[0], traces[1], "{label}: {variant:?} trace differs @ 2 threads");
-    assert_eq!(traces[0], traces[2], "{label}: {variant:?} trace differs @ 4 threads");
-    traces.pop().unwrap()
+    let buf = SharedBuf::new();
+    let sink = JsonlSink::new(buf.clone(), program);
+    let mut traced = ChaseMachine::new_with_trace(program, cfg, initial.clone(), Box::new(sink));
+    assert_eq!(stop, traced.run(budget), "{label}: {variant:?} stop");
+    assert_eq!(text, state_text(&traced), "{label}: {variant:?} traced state diverged");
+    assert_eq!(&stats, traced.stats(), "{label}: {variant:?} stats");
+    buf.contents()
 }
 
 /// Counts core-event kinds in a trace and checks them against the stats —
@@ -164,7 +146,7 @@ fn assert_metrics_match_stats(label: &str, registry: &MetricsRegistry, stats: &C
 }
 
 /// The full datagen corpus: tracing is observationally free for every
-/// family, every variant, at 1/2/4 threads — and the trace stream
+/// family and every variant — and the trace stream
 /// reconciles with the stats.
 #[test]
 fn datagen_corpus_tracing_is_observationally_free() {
@@ -182,8 +164,8 @@ fn datagen_corpus_tracing_is_observationally_free() {
     }
 }
 
-/// Strategy shared with the parallel differential suite: small random
-/// programs with joins and head-only (existential) variables.
+/// Strategy: small random programs with joins and head-only
+/// (existential) variables.
 fn random_program() -> impl Strategy<Value = Program> {
     let arity = |p: usize| (p % 3) + 1;
     let atom = |pool: usize| {
@@ -220,7 +202,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
 
     /// 50 random programs: traced and untraced runs are bit-identical for
-    /// every variant at 1/2/4 threads, with thread-invariant traces.
+    /// every variant.
     #[test]
     fn random_programs_tracing_is_observationally_free(p in random_program()) {
         let mut program = p;

@@ -59,6 +59,38 @@ fn variant_results_are_homomorphically_equivalent() {
     }
 }
 
+/// On structured datagen families the semi-oblivious chase saturates on,
+/// the restricted chase saturates too and its result is hom-equivalent to
+/// the semi-oblivious one: both are universal models.
+#[test]
+fn restricted_results_on_datagen_families_are_universal_model_equivalent() {
+    let budget = Budget::applications(100_000).with_atoms(100_000);
+    for family in [
+        chasekit::datagen::chain(4),
+        chasekit::datagen::dl_lite(3, false),
+        chasekit::datagen::data_exchange(3),
+        chasekit::datagen::wide_terminating(3),
+    ] {
+        assert_eq!(family.so_terminates, Some(true), "{}", family.name);
+        let mut program = family.program.clone();
+        // Chase the facts, or the critical instance when there are none.
+        let initial = if program.facts().is_empty() {
+            CriticalInstance::build(&mut program).instance
+        } else {
+            Instance::from_atoms(program.facts().iter().cloned())
+        };
+        let so = chase(&program, ChaseVariant::SemiOblivious, initial.clone(), &budget);
+        assert!(so.outcome.is_saturated(), "{}: so must saturate", family.name);
+        let rst = chase(&program, ChaseVariant::Restricted, initial, &budget);
+        assert!(rst.outcome.is_saturated(), "{}: restricted must saturate", family.name);
+        assert!(
+            hom_equivalent(&rst.instance, &so.instance),
+            "{}: restricted result is not a universal model",
+            family.name
+        );
+    }
+}
+
 #[test]
 fn restricted_result_is_no_larger_than_semi_oblivious() {
     for (i, mut p) in terminating_samples().into_iter().enumerate().take(15) {
