@@ -152,141 +152,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Durability ablation on the E4 guarded family: the same chases with no
-/// journal, with the write-ahead journal appending every admitted trigger,
-/// and with the full durable loop (journal + atomic snapshot every 200
-/// applications). The no-journal row also measures the disabled-failpoint
-/// fast path — every hook on the hot path is behind one relaxed atomic
-/// load. Medians land in `BENCH_journal_overhead.json` at the repo root.
-fn bench_journal_overhead(c: &mut Criterion) {
-    use chasekit_core::CriticalInstance;
-    use chasekit_engine::{write_snapshot_atomic, JournalWriter};
-    use std::time::Instant;
-
-    let mut group = c.benchmark_group("ablation/journal_overhead");
-    group.sample_size(10);
-    let cfg = RandomConfig { predicates: 4, max_arity: 3, rules: 4, ..Default::default() };
-    let programs: Vec<Program> = (0..8)
-        .map(|s| {
-            let mut p = random_guarded(&cfg, 90_000 + s);
-            let _ = CriticalInstance::build(&mut p);
-            p
-        })
-        .collect();
-    let budget = Budget { max_applications: 800, max_atoms: 20_000, ..Budget::unlimited() };
-    let dir = std::env::temp_dir().join("chasekit-bench-journal");
-    std::fs::create_dir_all(&dir).expect("bench scratch dir");
-
-    // Group-commit batch size per mode: `flushN` rows append through the
-    // same WAL but batch N records per write(2)+fsync.
-    let flush_of = |mode: &str| -> u64 {
-        mode.strip_prefix("flush").map_or(1, |n| n.parse().expect("flush mode"))
-    };
-    let sweep = |mode: &str| -> usize {
-        let mut atoms = 0usize;
-        for p in &programs {
-            let mut frozen = p.clone();
-            let initial = CriticalInstance::build(&mut frozen).instance;
-            let cfg = ChaseConfig::of(ChaseVariant::SemiOblivious);
-            let mut m = ChaseMachine::new(&frozen, cfg, initial);
-            let journal_path = dir.join("bench.journal");
-            if mode != "off" {
-                let _ = std::fs::remove_file(&journal_path);
-                m.set_journal(
-                    JournalWriter::for_machine(&journal_path, &m)
-                        .expect("journal opens")
-                        .with_flush_every(flush_of(mode)),
-                );
-            }
-            if mode == "durable" {
-                let ckpt = dir.join("bench.ckpt");
-                loop {
-                    let target = m.stats().applications + 200;
-                    let leg = Budget { max_applications: target, ..budget };
-                    let stop = m.run(&leg);
-                    let text = m.snapshot().to_text().expect("untracked snapshot");
-                    let mut j = m.take_journal().expect("journal installed");
-                    j.sync().expect("journal syncs");
-                    write_snapshot_atomic(&ckpt, &text).expect("snapshot lands");
-                    if stop != chasekit_engine::StopReason::Applications
-                        || target >= budget.max_applications
-                    {
-                        break;
-                    }
-                    m.set_journal(
-                        JournalWriter::for_machine(&journal_path, &m).expect("journal reopens"),
-                    );
-                }
-            } else {
-                let _ = m.run(&budget);
-            }
-            atoms += m.instance().len();
-        }
-        atoms
-    };
-
-    for mode in ["off", "journal", "durable"] {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &mode| {
-            b.iter(|| black_box(sweep(mode)))
-        });
-    }
-    group.finish();
-
-    // Group-commit ablation: the same journaled sweep at batch sizes 1, 8,
-    // and 64 (`--journal-flush-every`). Larger batches amortize the
-    // write(2) per record; crash-safety is unchanged (a torn batch is a
-    // valid journal prefix, see tests/crash_recovery.rs).
-    let mut group = c.benchmark_group("ablation/journal_flush");
-    group.sample_size(10);
-    for mode in ["journal", "flush8", "flush64"] {
-        let label = if mode == "journal" { "flush1" } else { mode };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
-            b.iter(|| black_box(sweep(mode)))
-        });
-    }
-    group.finish();
-
-    // Independent medians for the standalone JSON record.
-    let median = |mode: &str| -> u64 {
-        let mut runs: Vec<u64> = (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(sweep(mode));
-                start.elapsed().as_micros() as u64
-            })
-            .collect();
-        runs.sort_unstable();
-        runs[runs.len() / 2]
-    };
-    let rows: Vec<(&str, u64)> = ["off", "journal", "flush8", "flush64", "durable"]
-        .iter()
-        .map(|&m| (m, median(m)))
-        .collect();
-    let base = rows[0].1.max(1) as f64;
-    let rows_json: Vec<String> = rows
-        .iter()
-        .map(|(m, us)| {
-            format!(
-                "    {{\"mode\": \"{m}\", \"median_us\": {us}, \"overhead_vs_off\": {:.3}}}",
-                *us as f64 / base
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"journal_overhead\",\n  \"workload\": \"e4-guarded critical-instance chase, 8 seeds, semi-oblivious\",\n  \"budget\": {{\"max_applications\": 800, \"max_atoms\": 20000}},\n  \"modes\": {{\"off\": \"no journal (failpoints compiled in, disabled)\", \"journal\": \"WAL append per admitted trigger (flush every 1)\", \"flush8\": \"WAL with group commit, 8 records per write\", \"flush64\": \"WAL with group commit, 64 records per write\", \"durable\": \"WAL + fsync'd atomic snapshot every 200 applications\"}},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows_json.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_journal_overhead.json");
-    std::fs::write(out, &json).expect("write BENCH_journal_overhead.json");
-    eprintln!("journal_overhead: wrote {out}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 criterion_group!(
     benches,
     bench_delta_vs_naive,
     bench_deferred_rechecks,
-    bench_trace_overhead,
-    bench_journal_overhead
+    bench_trace_overhead
 );
 criterion_main!(benches);

@@ -182,10 +182,6 @@ pub struct ChaseMachine<'p> {
     pub(crate) trace: Option<TraceHandle>,
     /// Periodic progress reporter, polled on the guard-poll cadence.
     pub(crate) progress: Option<ProgressMeter>,
-    /// Write-ahead journal, one record per [`apply`](Self::apply). A
-    /// failed append latches a sticky error and the run loop stops with
-    /// [`StopReason::Io`] at the next step boundary.
-    pub(crate) journal: Option<crate::journal::JournalWriter>,
     /// Reusable matcher buffers for trigger discovery and satisfaction
     /// checks.
     pub(crate) scratch: MatchScratch,
@@ -245,7 +241,6 @@ impl<'p> ChaseMachine<'p> {
             cancel: None,
             trace,
             progress: None,
-            journal: None,
             scratch: MatchScratch::default(),
             args_buf: Vec::new(),
             skipped: Vec::new(),
@@ -286,25 +281,6 @@ impl<'p> ChaseMachine<'p> {
         if let Some(t) = &mut self.trace {
             t.flush();
         }
-    }
-
-    /// Installs a write-ahead journal; every subsequent application appends
-    /// one record. Strictly observational — the chase's deterministic state
-    /// is identical with or without it.
-    pub fn set_journal(&mut self, journal: crate::journal::JournalWriter) {
-        self.journal = Some(journal);
-    }
-
-    /// Removes and returns the installed journal (e.g. to sync and re-base
-    /// it around a snapshot).
-    pub fn take_journal(&mut self) -> Option<crate::journal::JournalWriter> {
-        self.journal.take()
-    }
-
-    /// The journal's sticky append error, if an installed journal has
-    /// failed. The run loop polls this and stops with [`StopReason::Io`].
-    pub fn journal_failed(&self) -> Option<&str> {
-        self.journal.as_ref().and_then(|j| j.failed())
     }
 
     /// Installs a periodic progress callback, fired at most every `every`
@@ -602,10 +578,6 @@ impl<'p> ChaseMachine<'p> {
             }
         }
 
-        if let Some(j) = &mut self.journal {
-            j.append(self.stats.applications, self.instance.len(), self.instance.null_count());
-        }
-
         if let Some(t) = &mut self.trace {
             t.core(TraceEvent::Applied {
                 app: seq,
@@ -710,9 +682,6 @@ impl<'p> ChaseMachine<'p> {
                 if token.is_cancelled() {
                     return self.boundary(StopReason::Cancelled);
                 }
-            }
-            if self.journal_failed().is_some() {
-                return self.boundary(StopReason::Io);
             }
             if self.stats.applications.is_multiple_of(PERIOD) {
                 if let Some(limit) = budget.max_wall {

@@ -22,6 +22,21 @@
 //! are analysis runs, not long-haul runs); in-memory snapshots carry both.
 //! A fingerprint of the program text guards against resuming a checkpoint
 //! under a different program, which would silently corrupt the run.
+//!
+//! **Durability = atomic snapshots + determinism.** [`run_durable`]
+//! publishes a snapshot after every leg of a long run with
+//! [`write_snapshot_atomic`]. After a kill, the disk holds no snapshot or
+//! the one published after some leg *k*, possibly beside a torn
+//! `<path>.tmp` that nothing reads. A kill mid-leg leaves the same files as
+//! a kill just before the next publication. Because the run from any
+//! snapshot is a pure function of that snapshot, recovery is just "resume
+//! the published snapshot (or start from genesis) and run on"; the result
+//! is bit-identical to a run that was never interrupted.
+
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use chasekit_core::display::program_to_string;
 use chasekit_core::{
@@ -29,7 +44,10 @@ use chasekit_core::{
 };
 
 use crate::chase::{ChaseConfig, ChaseMachine, ChaseStats, Scheduling, SkolemInfo, Trigger};
+use crate::failpoint::{self, points};
+use crate::trace::TraceEvent;
 use crate::variant::ChaseVariant;
+use crate::{Budget, StopReason};
 
 /// Why a checkpoint could not be created, serialized, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,7 +260,6 @@ impl Checkpoint {
             cancel: None,
             trace: None,
             progress: None,
-            journal: None,
             scratch: chasekit_core::MatchScratch::default(),
             args_buf: Vec::new(),
             skipped: Vec::new(),
@@ -330,7 +347,7 @@ impl Checkpoint {
         out.push_str("end\n");
         // Integrity trailer: CRC32 over every byte above, so recovery can
         // tell a corrupted snapshot from a valid one (not just a torn one).
-        let crc = crate::journal::crc32(out.as_bytes());
+        let crc = crc32(out.as_bytes());
         out.push_str(&format!("crc {crc:08x}\n"));
         Ok(out)
     }
@@ -525,7 +542,7 @@ impl Checkpoint {
             // a file we wrote and fails the check as corruption.
             let mut covered = all[..pos].join("\n");
             covered.push('\n');
-            let got = crate::journal::crc32(covered.as_bytes());
+            let got = crc32(covered.as_bytes());
             if got != want {
                 return Err(CheckpointError::Parse(format!(
                     "line {lineno}: checkpoint CRC mismatch (trailer {want:08x}, content {got:08x})"
@@ -602,6 +619,174 @@ fn parse_term_token(w: &str) -> Option<Option<Term>> {
         "c" => Some(Some(Term::Const(chasekit_core::ConstId(id)))),
         "n" => Some(Some(Term::Null(NullId(id)))),
         _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// CRC32 (IEEE 802.3, reflected). Table built at compile time; no deps.
+// ---------------------------------------------------------------------------
+
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC32 (IEEE) of `bytes` — the integrity check on the checkpoint text
+/// trailer.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xffff_ffffu32;
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xffff_ffff
+}
+
+/// The stable keyword for a variant, as written in job `meta` files and
+/// on the serve wire.
+pub(crate) fn variant_token(v: ChaseVariant) -> &'static str {
+    match v {
+        ChaseVariant::Oblivious => "oblivious",
+        ChaseVariant::SemiOblivious => "semi-oblivious",
+        ChaseVariant::Restricted => "restricted",
+    }
+}
+
+/// Inverse of [`variant_token`].
+pub(crate) fn parse_variant(s: &str) -> Option<ChaseVariant> {
+    match s {
+        "oblivious" => Some(ChaseVariant::Oblivious),
+        "semi-oblivious" => Some(ChaseVariant::SemiOblivious),
+        "restricted" => Some(ChaseVariant::Restricted),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Durability: atomic snapshots + determinism.
+// ---------------------------------------------------------------------------
+
+/// The sibling temporary file [`write_snapshot_atomic`] stages `path` in.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
+/// Writes `text` to `path` crash-atomically: a sibling `<path>.tmp` is
+/// written and fsync'd, renamed over `path`, and the parent directory is
+/// fsync'd. A reader (or a resume after a kill at any point inside this
+/// function) sees either the complete old snapshot or the complete new
+/// one, never a torn mixture; at worst a torn `<path>.tmp` is left beside
+/// it, which nothing reads.
+pub fn write_snapshot_atomic(path: &Path, text: &str) -> io::Result<()> {
+    let tmp = tmp_path(path);
+    {
+        let mut file = File::create(&tmp)?;
+        match failpoint::trip_io(points::SNAPSHOT_WRITE)? {
+            Some(n) => {
+                let n = n.min(text.len());
+                file.write_all(&text.as_bytes()[..n])?;
+                return Err(failpoint::injected(points::SNAPSHOT_WRITE));
+            }
+            None => file.write_all(text.as_bytes())?,
+        }
+        file.sync_data()?;
+    }
+    if failpoint::trip_io(points::SNAPSHOT_RENAME)?.is_some() {
+        return Err(failpoint::injected(points::SNAPSHOT_RENAME));
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            // Persist the rename itself. Best-effort: not every filesystem
+            // supports fsync on a directory handle.
+            if let Ok(d) = File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Removes the snapshot at `path` together with any torn `<path>.tmp` an
+/// interrupted publication left beside it. Returns whether the snapshot
+/// itself existed.
+pub fn remove_snapshot(path: &Path) -> io::Result<bool> {
+    let gone = |r: io::Result<()>| match r {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    };
+    let existed = gone(std::fs::remove_file(path))?;
+    gone(std::fs::remove_file(tmp_path(path)))?;
+    Ok(existed)
+}
+
+/// Serializes `machine`, publishes it at `path` with
+/// [`write_snapshot_atomic`], and notes [`TraceEvent::CheckpointWrite`].
+/// The error names the path and the cause.
+pub fn publish_snapshot(machine: &mut ChaseMachine<'_>, path: &Path) -> Result<(), String> {
+    let text = machine
+        .snapshot()
+        .to_text()
+        .map_err(|e| format!("cannot checkpoint run: {e}"))?;
+    write_snapshot_atomic(path, &text)
+        .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
+    let (applications, atoms, pending) =
+        (machine.stats().applications, machine.instance().len(), machine.pending());
+    machine.trace_note(TraceEvent::CheckpointWrite { applications, atoms, pending });
+    Ok(())
+}
+
+/// The durable leg loop the CLI `chase` command and the job server share.
+///
+/// Runs `machine` under `budget` in legs of `every` applications and, after
+/// each leg that ends with application budget to spare, publishes the run
+/// state at `publish` ([`publish_snapshot`]). `every == 0` or no `publish`
+/// path runs one leg. The budget's wall-clock limit is one overall
+/// deadline across all legs; its application cap is the run's total.
+///
+/// Returns why the run stopped. A failed publication stops the run with
+/// [`StopReason::Io`] and the error text; the previously published
+/// snapshot is untouched, and the machine itself is still consistent.
+pub fn run_durable(
+    machine: &mut ChaseMachine<'_>,
+    budget: &Budget,
+    every: u64,
+    publish: Option<&Path>,
+) -> (StopReason, Option<String>) {
+    let deadline = budget.max_wall.map(|limit| Instant::now() + limit);
+    loop {
+        let leg_end = match publish {
+            Some(_) if every > 0 => {
+                machine.stats().applications.saturating_add(every).min(budget.max_applications)
+            }
+            _ => budget.max_applications,
+        };
+        let leg = Budget {
+            max_applications: leg_end,
+            max_wall: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            ..*budget
+        };
+        match (machine.run(&leg), publish) {
+            (StopReason::Applications, Some(path)) if leg_end < budget.max_applications => {
+                if let Err(msg) = publish_snapshot(machine, path) {
+                    return (StopReason::Io, Some(msg));
+                }
+            }
+            (stop, _) => return (stop, None),
+        }
     }
 }
 
@@ -784,5 +969,75 @@ mod tests {
         let good = m.snapshot().to_text().unwrap();
         let truncated = &good[..good.len() / 2];
         assert!(matches!(Checkpoint::from_text(truncated), Err(CheckpointError::Parse(_))));
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC32 check values.
+        assert_eq!(crc32(b""), 0x0000_0000);
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+    }
+
+    fn example1() -> Program {
+        // Paper Example 1: diverges under every variant, so any step budget
+        // is reachable.
+        Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap()
+    }
+
+    fn run_some(p: &Program, n: u64) -> ChaseMachine<'_> {
+        let mut m = ChaseMachine::new(p, ChaseConfig::of(ChaseVariant::Oblivious), facts(p));
+        let _ = m.run(&Budget::applications(n));
+        m
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chasekit-ckpt-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn atomic_snapshot_survives_reread() {
+        let path = scratch("atomic.ckpt");
+        let p = example1();
+        let text = run_some(&p, 4).snapshot().to_text().unwrap();
+        write_snapshot_atomic(&path, &text).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        // Overwrite with a later snapshot; the temp file must be gone.
+        let text2 = run_some(&p, 6).snapshot().to_text().unwrap();
+        write_snapshot_atomic(&path, &text2).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text2);
+        assert!(!tmp_path(&path).exists());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn remove_snapshot_takes_the_torn_tmp_along() {
+        let path = scratch("remove.ckpt");
+        std::fs::write(&path, "snapshot").unwrap();
+        std::fs::write(tmp_path(&path), "torn").unwrap();
+        assert!(remove_snapshot(&path).unwrap());
+        assert!(!path.exists() && !tmp_path(&path).exists());
+        // Nothing left: not an error, and reports that no snapshot existed.
+        assert!(!remove_snapshot(&path).unwrap());
+    }
+
+    #[test]
+    fn durable_legs_publish_a_resumable_prefix() {
+        let path = scratch("legs.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let p = example1();
+        let mut m = ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::Oblivious), facts(&p));
+        let (stop, err) = run_durable(&mut m, &Budget::applications(10), 4, Some(&path));
+        assert_eq!((stop, err), (StopReason::Applications, None));
+        // Legs end at 4 and 8 with budget to spare; the last leg (to 10)
+        // does not publish.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, run_some(&p, 8).snapshot().to_text().unwrap());
+        let mut resumed = Checkpoint::from_text(&text).unwrap().resume(&p).unwrap();
+        resumed.run(&Budget::applications(10));
+        assert_eq!(resumed.snapshot().to_text(), m.snapshot().to_text());
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,7 +5,7 @@
 //! [`ENV_VAR`] environment variable — can arm a fault: an injected I/O
 //! error, a short (torn) write, a panic, or a simulated kill
 //! (`process::exit`). Faults fire on an exact hit count, so a plan like
-//! `journal.append=error@7` is a pure function of the process's execution
+//! `snapshot.write=error@7` is a pure function of the process's execution
 //! — the same run trips the same syscall every time, which is what makes
 //! the kill/recover differential suite reproducible. Seed-driven sweeps
 //! (the `bench::fault` idiom from the experiment pool) derive the hit
@@ -15,7 +15,7 @@
 //! single relaxed atomic load of a process-wide armed flag; the registry
 //! mutex is only touched once a spec has been installed. No failpoint code
 //! allocates, locks, or branches further on the hot path of an unarmed
-//! process — the durability ablation bench runs with the same binary.
+//! process, so release binaries keep every site compiled in.
 //!
 //! Failpoint state is process-global (sites fire from server threads), so
 //! tests that arm failpoints must serialize against each other; the crash
@@ -26,23 +26,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable the CLI reads at startup to arm failpoints,
-/// e.g. `CHASEKIT_FAILPOINTS="journal.append=short:10@3;snapshot.rename=exit:9"`.
+/// e.g. `CHASEKIT_FAILPOINTS="snapshot.write=short:10@3;snapshot.rename=exit:9"`.
 pub const ENV_VAR: &str = "CHASEKIT_FAILPOINTS";
 
 /// The failpoint catalog: every site the engine's durability layer can
 /// trip. Arming an unknown name is an error, so specs can't silently rot.
 pub mod points {
-    /// A journal record append ([`crate::journal::JournalWriter::append`]).
-    pub const JOURNAL_APPEND: &str = "journal.append";
-    /// The journal flush/sync path.
-    pub const JOURNAL_SYNC: &str = "journal.sync";
-    /// Journal truncation after a successful snapshot (the crash window
-    /// that leaves a stale journal base behind a newer snapshot).
-    pub const JOURNAL_TRUNCATE: &str = "journal.truncate";
-    /// Writing the snapshot's temporary file.
+    /// Writing the snapshot's temporary file
+    /// ([`crate::checkpoint::write_snapshot_atomic`]).
     pub const SNAPSHOT_WRITE: &str = "snapshot.write";
     /// The atomic rename publishing a snapshot (firing `exit` here
-    /// simulates a kill between the last journal append and the rename).
+    /// simulates a kill with the new snapshot staged but not published).
     pub const SNAPSHOT_RENAME: &str = "snapshot.rename";
     /// Server job admission: after the job's store files are durably
     /// written, before it is enqueued and acknowledged. Firing `exit` here
@@ -57,9 +51,6 @@ pub mod points {
 
     /// Every point, for spec validation.
     pub(super) const ALL: &[&str] = &[
-        JOURNAL_APPEND,
-        JOURNAL_SYNC,
-        JOURNAL_TRUNCATE,
         SNAPSHOT_WRITE,
         SNAPSHOT_RENAME,
         SERVE_ADMIT,
@@ -217,18 +208,18 @@ pub(crate) mod tests {
         clear();
         assert!(!armed());
         for _ in 0..1000 {
-            assert_eq!(fire(points::JOURNAL_APPEND), None);
+            assert_eq!(fire(points::SNAPSHOT_WRITE), None);
         }
     }
 
     #[test]
     fn fires_on_the_exact_hit_and_only_once() {
         let _g = guard();
-        configure("journal.append=error@3").unwrap();
-        assert_eq!(fire(points::JOURNAL_APPEND), None);
-        assert_eq!(fire(points::JOURNAL_APPEND), None);
-        assert_eq!(fire(points::JOURNAL_APPEND), Some(Action::Error));
-        assert_eq!(fire(points::JOURNAL_APPEND), None);
+        configure("snapshot.write=error@3").unwrap();
+        assert_eq!(fire(points::SNAPSHOT_WRITE), None);
+        assert_eq!(fire(points::SNAPSHOT_WRITE), None);
+        assert_eq!(fire(points::SNAPSHOT_WRITE), Some(Action::Error));
+        assert_eq!(fire(points::SNAPSHOT_WRITE), None);
         // Unarmed points never fire even while the process is armed.
         assert_eq!(fire(points::SNAPSHOT_RENAME), None);
         clear();
@@ -237,11 +228,11 @@ pub(crate) mod tests {
     #[test]
     fn spec_grammar_round_trips_every_action() {
         let _g = guard();
-        configure("journal.append=short:12@2; snapshot.write=error, journal.sync=panic@5")
+        configure("snapshot.write=short:12@2; serve.admit=error, serve.result=panic@5")
             .unwrap();
-        assert_eq!(fire(points::SNAPSHOT_WRITE), Some(Action::Error));
-        assert_eq!(fire(points::JOURNAL_APPEND), None);
-        assert_eq!(fire(points::JOURNAL_APPEND), Some(Action::ShortWrite(12)));
+        assert_eq!(fire(points::SERVE_ADMIT), Some(Action::Error));
+        assert_eq!(fire(points::SNAPSHOT_WRITE), None);
+        assert_eq!(fire(points::SNAPSHOT_WRITE), Some(Action::ShortWrite(12)));
         configure("snapshot.rename=exit:9").unwrap();
         // Reconfiguring resets: don't actually fire the exit in-process.
         assert!(armed());
@@ -256,9 +247,9 @@ pub(crate) mod tests {
         for (spec, needle) in [
             ("nonsense", "nonsense"),
             ("no.such.point=error", "no.such.point"),
-            ("journal.append=explode", "explode"),
-            ("journal.append=error@0", "0"),
-            ("journal.append=short:lots", "lots"),
+            ("snapshot.write=explode", "explode"),
+            ("snapshot.write=error@0", "0"),
+            ("snapshot.write=short:lots", "lots"),
         ] {
             let err = configure(spec).unwrap_err();
             assert!(err.contains(needle), "{spec}: {err}");
@@ -269,11 +260,11 @@ pub(crate) mod tests {
     #[test]
     fn trip_io_maps_actions() {
         let _g = guard();
-        configure("journal.sync=error@1;journal.append=short:4@1").unwrap();
-        assert_eq!(trip_io(points::JOURNAL_APPEND).unwrap(), Some(4));
-        let err = trip_io(points::JOURNAL_SYNC).unwrap_err();
-        assert!(err.to_string().contains("journal.sync"));
-        assert_eq!(trip_io(points::JOURNAL_SYNC).unwrap(), None);
+        configure("snapshot.rename=error@1;snapshot.write=short:4@1").unwrap();
+        assert_eq!(trip_io(points::SNAPSHOT_WRITE).unwrap(), Some(4));
+        let err = trip_io(points::SNAPSHOT_RENAME).unwrap_err();
+        assert!(err.to_string().contains("snapshot.rename"));
+        assert_eq!(trip_io(points::SNAPSHOT_RENAME).unwrap(), None);
         clear();
     }
 }

@@ -112,8 +112,9 @@ pub enum StopReason {
     Memory,
     /// A [`CancelToken`] was triggered.
     Cancelled,
-    /// A durability write (journal append or sync) failed; the run stopped
-    /// at a step boundary rather than chase on with an incomplete journal.
+    /// A snapshot publication failed; the durable run
+    /// ([`crate::checkpoint::run_durable`]) stopped at the leg boundary,
+    /// leaving the previously published snapshot in place.
     Io,
 }
 

@@ -75,10 +75,6 @@ pub enum UpdateError {
     /// The machine was built without `track_derivation`; retraction needs
     /// the derivation DAG to compute cones.
     DerivationRequired,
-    /// The machine has a write-ahead journal installed. Journals replay
-    /// from the base program, which an in-place update invalidates; use a
-    /// rebuild through [`edited_program`] for durable runs.
-    Journaled,
     /// The retraction target exists but was chase-derived, not a base fact.
     NotABaseFact(String),
     /// The fact contains variables or nulls.
@@ -99,9 +95,6 @@ impl std::fmt::Display for UpdateError {
         match self {
             UpdateError::DerivationRequired => {
                 write!(f, "incremental updates require a derivation-tracking machine")
-            }
-            UpdateError::Journaled => {
-                write!(f, "cannot update a journaled machine in place; rebuild instead")
             }
             UpdateError::NotABaseFact(a) => {
                 write!(f, "cannot retract {a}: it is chase-derived, not a base fact")
@@ -164,9 +157,6 @@ impl<'p> ChaseMachine<'p> {
     fn require_updatable(&self) -> Result<(), UpdateError> {
         if !self.config.track_derivation {
             return Err(UpdateError::DerivationRequired);
-        }
-        if self.journal.is_some() {
-            return Err(UpdateError::Journaled);
         }
         Ok(())
     }

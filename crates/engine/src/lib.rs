@@ -31,7 +31,6 @@ pub mod dot;
 pub mod failpoint;
 pub mod guard;
 pub mod incremental;
-pub mod journal;
 pub mod metrics;
 pub mod query;
 pub mod serve;
@@ -42,14 +41,14 @@ pub use chase::{
     chase, chase_facts, contains_instance, is_model, ChaseConfig, ChaseMachine,
     ChaseResult, ChaseStats, RoundStats, Scheduling, StepEvent,
 };
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::{
+    crc32, publish_snapshot, remove_snapshot, run_durable, write_snapshot_atomic, Checkpoint,
+    CheckpointError,
+};
 pub use guard::{Budget, CancelToken, StopReason};
 pub use incremental::{
     canonical_form, check_support, edited_program, parse_edit_script, Edit, RetractOutcome,
     UpdateError, UpdateReport,
-};
-pub use journal::{
-    needs_recovery, recover, write_snapshot_atomic, JournalWriter, RecoveryReport,
 };
 pub use core_chase::{core_chase, CoreChaseOutcome, CoreChaseResult};
 pub use core_min::{core_of, instances_isomorphic, MAX_CORE_NULLS};

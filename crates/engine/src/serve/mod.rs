@@ -1,10 +1,10 @@
 //! `chasekit serve`: a crash-resilient multi-tenant chase service.
 //!
-//! PRs 1–4 built the production bones — budgets, cancellation, traces,
-//! checkpoints, crash-safe journals — but they only composed inside one
-//! CLI invocation. This subsystem composes them behind a long-running
-//! server so many clients can submit programs concurrently, each chase an
-//! isolated, fault-contained, durably journaled **job**:
+//! The engine's production bones — budgets, cancellation, traces, and
+//! atomically published checkpoints — compose inside one CLI invocation.
+//! This subsystem composes them behind a long-running server so many
+//! clients can submit programs concurrently, each chase an isolated,
+//! fault-contained, durably checkpointed **job**:
 //!
 //! * [`protocol`] — the newline-delimited flat-JSON wire format and the
 //!   hardened line reader at the trust boundary;
@@ -15,10 +15,10 @@
 //! * [`server`] — admission control, the worker pool, connection
 //!   handling, the recovery scan, and the result cache.
 //!
-//! The design contract, inherited from the journal layer and enforced by
-//! the kill-at-every-failpoint suite: **bit-identical or cleanly
+//! The design contract, inherited from the checkpoint layer and enforced
+//! by the kill-at-every-failpoint suite: **bit-identical or cleanly
 //! truncated, never fabricated**. A server SIGKILL'd at any point —
-//! mid-append, mid-snapshot, in the admit window, between a job's final
+//! mid-leg, mid-snapshot, in the admit window, between a job's final
 //! checkpoint and its result marker — recovers on restart to a state from
 //! which every admitted job completes with a final checkpoint
 //! byte-identical to a run that never crashed.

@@ -29,7 +29,7 @@ use std::io::{self, BufRead};
 
 use chasekit_core::display::json_string;
 
-use crate::journal::{parse_variant, variant_token};
+use crate::checkpoint::{parse_variant, variant_token};
 use crate::ChaseVariant;
 
 /// Default cap on a request line, including the program text (1 MiB).

@@ -4,25 +4,24 @@
 //! both fresh submissions and jobs found half-done by the restart scan —
 //! the two cases are deliberately the same code path, so the recovery
 //! differential ("a killed job, resumed, is bit-identical to one that
-//! never crashed") is a property of the only loop there is. The loop
-//! mirrors the CLI's `chase --checkpoint --journal --checkpoint-every`
-//! driver exactly: legs of `checkpoint_every` applications, each leg
-//! followed by a synced journal, an atomically published snapshot, and a
-//! re-based journal, under one overall wall-clock deadline.
+//! never crashed") is a property of the only loop there is. That loop is
+//! [`run_durable`], the same one the CLI's `chase --checkpoint
+//! --checkpoint-every` drives: legs of `checkpoint_every` applications,
+//! each followed by an atomically published snapshot, under one overall
+//! wall-clock deadline.
 //!
-//! A job directory owns four well-known files (see [`JobPaths`]): the
-//! working snapshot + journal pair the durable loop maintains, the final
-//! checkpoint published when the chase stops, and the result marker the
-//! *server* writes last — its presence is what the restart scan treats as
-//! "complete", so a kill anywhere before it simply re-runs the
-//! deterministic tail.
+//! A job directory owns three well-known files (see [`JobPaths`]): the
+//! working snapshot the durable loop republishes, the final checkpoint
+//! published when the chase stops, and the result marker the *server*
+//! writes last — its presence is what the restart scan treats as
+//! "complete", so a kill anywhere before it simply resumes the working
+//! snapshot (or genesis) and re-runs the deterministic tail.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use chasekit_core::{CriticalInstance, Instance, Program};
 
-use crate::journal::{recover, write_snapshot_atomic, JournalWriter};
+use crate::checkpoint::{run_durable, write_snapshot_atomic, Checkpoint};
 use crate::trace::TraceSink;
 use crate::{Budget, CancelToken, ChaseConfig, ChaseMachine, ChaseVariant, StopReason};
 
@@ -43,17 +42,15 @@ pub struct JobSpec {
     pub max_atoms: Option<usize>,
     /// Approximate memory ceiling in bytes, if any.
     pub max_memory: Option<usize>,
-    /// Snapshot + journal re-base cadence in applications (0 = only the
-    /// final checkpoint, no periodic durability).
+    /// Snapshot cadence in applications (0 = only the final checkpoint,
+    /// no periodic durability).
     pub checkpoint_every: u64,
-    /// Journal group-commit batch size (records per `write(2)`).
-    pub flush_every: u64,
 }
 
 impl JobSpec {
     /// The server's built-in defaults: semi-oblivious chase, a generous
     /// but finite application budget, periodic durability every 256
-    /// applications, write-per-record journaling.
+    /// applications.
     pub fn server_default() -> JobSpec {
         JobSpec {
             variant: ChaseVariant::SemiOblivious,
@@ -62,7 +59,6 @@ impl JobSpec {
             max_atoms: None,
             max_memory: None,
             checkpoint_every: 256,
-            flush_every: 1,
         }
     }
 }
@@ -95,11 +91,6 @@ impl JobPaths {
         self.dir.join("state.ckpt")
     }
 
-    /// The write-ahead journal covering everything past the snapshot.
-    pub fn journal(&self) -> PathBuf {
-        self.dir.join("state.journal")
-    }
-
     /// The final checkpoint, published when the chase stops.
     pub fn final_checkpoint(&self) -> PathBuf {
         self.dir.join("final.ckpt")
@@ -122,28 +113,26 @@ pub struct JobReport {
     pub atoms: usize,
     /// Labelled nulls minted.
     pub nulls: usize,
-    /// Whether the job resumed from on-disk state (restart recovery).
+    /// Whether the job resumed from a working snapshot (restart recovery).
     pub recovered: bool,
-    /// Journal records replayed during recovery.
-    pub replayed: u64,
     /// The final checkpoint text (also on disk at
     /// [`JobPaths::final_checkpoint`]) — the byte-identity witness the
     /// differential suite compares.
     pub checkpoint_text: String,
-    /// The sticky journal error when `outcome` is [`StopReason::Io`].
+    /// The failed publication's error when `outcome` is [`StopReason::Io`].
     pub io_error: Option<String>,
 }
 
 /// Runs one job to a terminal state inside `dir`, fresh or recovered.
 ///
-/// If the directory holds a prior `state.ckpt`/`state.journal` pair (the
-/// server was killed mid-job), the machine is recovered from them —
-/// verified deterministic replay, torn tails truncated — and continues;
-/// otherwise the chase starts from the program's facts (or its critical
-/// instance when it has none), exactly like the CLI. Returns an error
-/// string for structural failures (unreadable state, mismatched files,
-/// unwritable final checkpoint); budget and I/O stops are *successful*
-/// reports with the corresponding [`StopReason`].
+/// If the directory holds a working `state.ckpt` (the server was killed
+/// mid-job), the machine resumes it and runs on; otherwise the chase
+/// starts from the program's facts (or its critical instance when it has
+/// none), exactly like the CLI. Any other file a killed run left behind —
+/// a torn `state.ckpt.tmp`, a `state.journal` from an older server — is
+/// ignored. Returns an error string for structural failures (unreadable or
+/// mismatched state, unwritable final checkpoint); budget and I/O stops
+/// are *successful* reports with the corresponding [`StopReason`].
 pub fn run_job(
     program: &Program,
     spec: &JobSpec,
@@ -160,11 +149,6 @@ pub fn run_job(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(format!("cannot read {}: {e}", paths.state_checkpoint().display())),
     };
-    let journal_bytes = match std::fs::read(paths.journal()) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("cannot read {}: {e}", paths.journal().display())),
-    };
 
     let genesis = if program.facts().is_empty() {
         CriticalInstance::build(&mut program).instance
@@ -172,101 +156,46 @@ pub fn run_job(
         Instance::from_atoms(program.facts().iter().cloned())
     };
 
-    let recovered = snapshot_text.is_some() || !journal_bytes.is_empty();
-    let mut replayed = 0;
-    let mut machine = if recovered {
-        let (mut m, report) =
-            recover(&program, snapshot_text.as_deref(), &journal_bytes, genesis, config)
-                .map_err(|e| format!("cannot recover job state: {e}"))?;
-        replayed = report.records_replayed;
-        if let Some(sink) = sink {
-            // Sequence numbers continue from the recovered stats; the
-            // stream is a suffix of an uncrashed run's stream.
-            m.set_trace_sink(sink);
+    let recovered = snapshot_text.is_some();
+    let mut machine = match &snapshot_text {
+        Some(text) => {
+            let mut m = Checkpoint::from_text(text)
+                .and_then(|c| c.resume(&program))
+                .map_err(|e| format!("cannot resume job state: {e}"))?;
+            if let Some(sink) = sink {
+                // Sequence numbers continue from the resumed stats; the
+                // stream is a suffix of an uncrashed run's stream.
+                m.set_trace_sink(sink);
+            }
+            m
         }
-        m
-    } else {
-        match sink {
+        None => match sink {
             Some(sink) => ChaseMachine::new_with_trace(&program, config, genesis, sink),
             None => ChaseMachine::new(&program, config, genesis),
-        }
+        },
     };
     machine.set_cancel_token(cancel);
 
-    if recovered {
-        // Republish the recovered state as the working snapshot *before*
-        // the journal is re-based on it (the CLI's `run_recovery` order).
-        // The re-base truncates the journal to base = recovered
-        // applications; if a second kill lands before the next leg
-        // publish, the old snapshot would trail that base and recover()
-        // would reject the pair as inconsistent, failing the job on every
-        // subsequent restart.
-        let text = machine
-            .snapshot()
-            .to_text()
-            .map_err(|e| format!("cannot serialize recovered snapshot: {e}"))?;
-        write_snapshot_atomic(&paths.state_checkpoint(), &text).map_err(|e| {
-            format!("cannot write checkpoint {}: {e}", paths.state_checkpoint().display())
-        })?;
+    let mut budget = Budget::applications(spec.steps);
+    if let Some(ms) = spec.timeout_ms {
+        budget = budget.with_timeout_ms(ms);
     }
-
-    let journal = JournalWriter::for_machine(&paths.journal(), &machine)
-        .map_err(|e| format!("cannot create journal {}: {e}", paths.journal().display()))?
-        .with_flush_every(spec.flush_every);
-    machine.set_journal(journal);
-
-    // One overall wall-clock deadline across all snapshot legs, exactly
-    // like the CLI driver.
-    let deadline = spec.timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut publish_error: Option<String> = None;
-    let mut outcome = loop {
-        let target = if spec.checkpoint_every > 0 {
-            machine.stats().applications.saturating_add(spec.checkpoint_every).min(spec.steps)
-        } else {
-            spec.steps
-        };
-        let mut budget = Budget::applications(target);
-        if let Some(d) = deadline {
-            let left = d.saturating_duration_since(Instant::now());
-            budget = budget.with_timeout_ms(left.as_millis() as u64);
-        }
-        if let Some(atoms) = spec.max_atoms {
-            budget = budget.with_atoms(atoms);
-        }
-        if let Some(bytes) = spec.max_memory {
-            budget = budget.with_memory(bytes);
-        }
-        let stop = machine.run(&budget);
-        if stop == StopReason::Applications && target < spec.steps {
-            // Leg boundary with budget to spare: publish and keep going.
-            // A publish failure (ENOSPC, EACCES, injected fault) is a
-            // durability stop, not a server error: the job ends with
-            // StopReason::Io and the named error text.
-            match publish_leg(&mut machine, &paths, spec) {
-                Ok(()) => continue,
-                Err(msg) => {
-                    publish_error = Some(msg);
-                    break StopReason::Io;
-                }
-            }
-        }
-        break stop;
-    };
-
+    if let Some(atoms) = spec.max_atoms {
+        budget = budget.with_atoms(atoms);
+    }
+    if let Some(bytes) = spec.max_memory {
+        budget = budget.with_memory(bytes);
+    }
+    // A publish failure (ENOSPC, EACCES, injected fault) is a durability
+    // stop, not a server error: the job ends with StopReason::Io and the
+    // named error text.
+    let (outcome, io_error) = run_durable(
+        &mut machine,
+        &budget,
+        spec.checkpoint_every,
+        Some(&paths.state_checkpoint()),
+    );
     machine.flush_trace();
-
-    // Finalization. A journal that cannot be synced is a durability
-    // failure: surface it as StopReason::Io, never swallow it.
-    let mut io_error = None;
-    if outcome == StopReason::Io {
-        io_error = publish_error.or_else(|| machine.journal_failed().map(str::to_string));
-        let _ = machine.take_journal();
-    } else if let Some(mut j) = machine.take_journal() {
-        if let Err(e) = j.sync() {
-            io_error = Some(format!("cannot sync journal {}: {e}", j.path().display()));
-            outcome = StopReason::Io;
-        }
-    }
 
     let checkpoint_text = machine
         .snapshot()
@@ -282,32 +211,7 @@ pub fn run_job(
         atoms: machine.instance().len(),
         nulls: machine.stats().nulls_minted as usize,
         recovered,
-        replayed,
         checkpoint_text,
         io_error,
     })
-}
-
-/// Syncs the journal, atomically publishes the working snapshot, and
-/// re-bases the journal on it — the CLI's `write_durable_snapshot`, with
-/// the group-commit batch size carried across the re-base.
-fn publish_leg(
-    machine: &mut ChaseMachine<'_>,
-    paths: &JobPaths,
-    spec: &JobSpec,
-) -> Result<(), String> {
-    let text = machine
-        .snapshot()
-        .to_text()
-        .map_err(|e| format!("cannot serialize snapshot: {e}"))?;
-    if let Some(mut j) = machine.take_journal() {
-        j.sync().map_err(|e| format!("cannot sync journal {}: {e}", j.path().display()))?;
-    }
-    write_snapshot_atomic(&paths.state_checkpoint(), &text)
-        .map_err(|e| format!("cannot write checkpoint {}: {e}", paths.state_checkpoint().display()))?;
-    let j = JournalWriter::for_machine(&paths.journal(), machine)
-        .map_err(|e| format!("cannot re-base journal {}: {e}", paths.journal().display()))?
-        .with_flush_every(spec.flush_every);
-    machine.set_journal(j);
-    Ok(())
 }

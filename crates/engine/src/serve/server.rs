@@ -647,7 +647,6 @@ fn effective_spec(defaults: &JobSpec, overrides: &SubmitOverrides) -> JobSpec {
         max_atoms: overrides.max_atoms.map(|n| n as usize).or(defaults.max_atoms),
         max_memory: overrides.max_memory.map(|n| n as usize).or(defaults.max_memory),
         checkpoint_every: defaults.checkpoint_every,
-        flush_every: defaults.flush_every,
     }
 }
 

@@ -9,8 +9,7 @@
 //!   job-0/
 //!     program.rules    submitted program text, verbatim
 //!     meta             the JobSpec, written last + atomically at admission
-//!     state.ckpt       working snapshot (durable loop)
-//!     state.journal    write-ahead journal past the snapshot
+//!     state.ckpt       working snapshot, republished after every leg
 //!     final.ckpt       final checkpoint, once the chase stopped
 //!     result           terminal outcome marker, written last by the server
 //! ```
@@ -27,7 +26,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{parse_variant, variant_token, write_snapshot_atomic};
+use crate::checkpoint::{parse_variant, variant_token, write_snapshot_atomic};
 use crate::serve::runner::{JobPaths, JobSpec};
 use crate::StopReason;
 
@@ -116,14 +115,13 @@ fn spec_to_text(spec: &JobSpec) -> String {
     let opt = |v: Option<u64>| v.map_or_else(|| "none".to_string(), |n| n.to_string());
     format!(
         "{META_MAGIC}\nvariant {}\nsteps {}\ntimeout-ms {}\nmax-atoms {}\nmax-memory {}\n\
-         checkpoint-every {}\nflush-every {}\n",
+         checkpoint-every {}\n",
         variant_token(spec.variant),
         spec.steps,
         opt(spec.timeout_ms),
         opt(spec.max_atoms.map(|n| n as u64)),
         opt(spec.max_memory.map(|n| n as u64)),
         spec.checkpoint_every,
-        spec.flush_every,
     )
 }
 
@@ -159,8 +157,9 @@ fn spec_from_text(text: &str) -> Result<JobSpec, String> {
     let max_atoms = opt_num("max-atoms", field("max-atoms")?)?.map(|n| n as usize);
     let max_memory = opt_num("max-memory", field("max-memory")?)?.map(|n| n as usize);
     let checkpoint_every = num("checkpoint-every", field("checkpoint-every")?)?;
-    let flush_every = num("flush-every", field("flush-every")?)?;
-    Ok(JobSpec { variant, steps, timeout_ms, max_atoms, max_memory, checkpoint_every, flush_every })
+    // Lines past the last field are ignored: a store written when `meta`
+    // still carried a `flush-every` line restarts unchanged.
+    Ok(JobSpec { variant, steps, timeout_ms, max_atoms, max_memory, checkpoint_every })
 }
 
 /// A job loaded back from disk.
@@ -372,7 +371,6 @@ mod tests {
             max_atoms: None,
             max_memory: Some(1 << 20),
             checkpoint_every: 10,
-            flush_every: 8,
         }
     }
 
@@ -380,6 +378,9 @@ mod tests {
     fn meta_and_result_round_trip() {
         let s = spec();
         assert_eq!(spec_from_text(&spec_to_text(&s)).unwrap(), s);
+        // A `meta` that still carries the retired `flush-every` line parses.
+        let legacy = format!("{}flush-every 8\n", spec_to_text(&s));
+        assert_eq!(spec_from_text(&legacy).unwrap(), s);
         let r = JobResult {
             outcome: "applications".into(),
             applications: 99,

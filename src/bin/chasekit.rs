@@ -7,13 +7,12 @@
 //! chasekit explain   <rules-file> [--variant o|so]
 //! chasekit chase     <rules-file> [--variant o|so|restricted] [--steps N] [--dot FILE]
 //!                    [--timeout-ms N] [--max-atoms-mem BYTES] [--checkpoint FILE]
-//!                    [--journal FILE] [--checkpoint-every N] [--recover]
-//!                    [--threads N] [--trace FILE] [--metrics FILE] [--progress SECS]
+//!                    [--checkpoint-every N] [--threads N] [--trace FILE]
+//!                    [--metrics FILE] [--progress SECS]
 //! chasekit critical  <rules-file> [--standard]
 //! chasekit serve     --store DIR [--addr HOST:PORT] [--workers N] [--queue N]
 //!                    [--variant o|so|restricted] [--steps N] [--timeout-ms N]
 //!                    [--max-atoms-mem BYTES] [--checkpoint-every N]
-//!                    [--journal-flush-every N]
 //! chasekit bench landscape [--quick] [--json FILE]
 //! ```
 //!
@@ -26,23 +25,31 @@
 //! `chase` maps its [`StopReason`] to a distinct exit code so scripts can
 //! tell *why* a run stopped: 0 saturated, 10 application budget, 11 atom
 //! budget, 12 wall-clock deadline, 13 memory ceiling, 14 cancelled, 15
-//! durability I/O failure. A successful `--recover` exits 3 (recovered, not
-//! chased). Argument errors exit 2; file/parse errors exit 1.
+//! durability I/O failure (a snapshot could not be published). Argument
+//! errors exit 2; file/parse errors exit 1.
+//!
+//! ## Durability
+//!
+//! `--checkpoint FILE` with `--checkpoint-every N` publishes the run state
+//! atomically every N applications. After a kill, rerunning the same
+//! command resumes the last published snapshot (or starts afresh if none
+//! was published) and, the chase being deterministic, ends bit-identical
+//! to a run that was never interrupted.
 //!
 //! ## Fault injection
 //!
 //! The `CHASEKIT_FAILPOINTS` environment variable arms deterministic
 //! faults in the durability layer (see `chasekit::engine::failpoint`), e.g.
-//! `CHASEKIT_FAILPOINTS="journal.append=exit:9@40"` kills the process on
-//! the 40th journal append — the crash-recovery suite drives the binary
-//! this way.
+//! `CHASEKIT_FAILPOINTS="snapshot.rename=exit:9@2"` kills the process at
+//! the second snapshot publication — the crash-recovery suite drives the
+//! binary this way.
 
 use std::process::ExitCode;
 
 use chasekit::core::display::{instance_to_string, rule_to_string};
 use chasekit::engine::{
-    failpoint, needs_recovery, recover, write_snapshot_atomic, Checkpoint, JournalWriter,
-    JsonlSink, MetricsSink, MultiSink, StopReason, TraceEvent, TraceSink,
+    failpoint, publish_snapshot, remove_snapshot, run_durable, Checkpoint, JsonlSink,
+    MetricsSink, MultiSink, StopReason, TraceEvent, TraceSink,
 };
 use chasekit::prelude::*;
 
@@ -59,17 +66,11 @@ options:
   --timeout-ms N              (chase) wall-clock deadline in milliseconds
   --max-atoms-mem BYTES       (chase) approximate memory ceiling in bytes
   --checkpoint FILE           (chase) resume from FILE if present; write the
-                              run state back there when a guardrail stops it
-  --journal FILE              (chase) write-ahead journal of applications;
-                              requires --checkpoint. A crash loses at most
-                              the torn final record; recover with --recover
-  --checkpoint-every N        (chase/serve) snapshot + re-base the journal
+                              run state back there when a guardrail stops it.
+                              After a crash, rerun the same command
+  --checkpoint-every N        (chase/serve) publish a snapshot atomically
                               every N applications; chase requires
                               --checkpoint, serve applies it to every job
-  --recover                   (chase) recover from --checkpoint + --journal
-                              after a crash: truncate the torn tail, replay
-                              the journal, rewrite a clean snapshot, print a
-                              recovery report, and exit 3 (without chasing)
   --threads N                 (chase) accepted for compatibility and
                               ignored: the chase runs sequentially
   --trace FILE                (chase) write a JSONL event trace; composes
@@ -79,9 +80,6 @@ options:
                               (counters, histograms, per-rule/per-predicate)
   --progress SECS             (chase) print a progress line to stderr at
                               most every SECS seconds (SECS >= 1)
-  --journal-flush-every N     (chase/serve) journal group-commit: batch N
-                              records per write (default 1 = write-per-
-                              record); chase requires --journal
   --edits FILE                (update) edit script: one `add <atom>.` or
                               `retract <atom>.` per line, `%` comments.
                               The chase runs to the --steps budget, the
@@ -104,8 +102,7 @@ options:
   --json FILE                 (bench landscape) JSON output path (default:
                               BENCH_checker_landscape.json at the repo root)
 exit codes (chase): 0 saturated, 10 applications, 11 atoms, 12 wall-clock,
-                    13 memory, 14 cancelled, 15 durability I/O failure;
-                    3 after a successful --recover";
+                    13 memory, 14 cancelled, 15 durability I/O failure";
 
 /// A named argument error: says exactly which argument was bad and why.
 fn arg_error(msg: String) -> ExitCode {
@@ -125,13 +122,10 @@ struct Args {
     timeout_ms: Option<u64>,
     max_mem: Option<usize>,
     checkpoint: Option<String>,
-    journal: Option<String>,
     checkpoint_every: Option<u64>,
-    recover: bool,
     trace: Option<String>,
     metrics: Option<String>,
     progress: Option<u64>,
-    flush_every: u64,
     store: Option<String>,
     addr: String,
     workers: usize,
@@ -168,13 +162,10 @@ fn parse_args() -> Result<Args, String> {
         timeout_ms: None,
         max_mem: None,
         checkpoint: None,
-        journal: None,
         checkpoint_every: None,
-        recover: false,
         trace: None,
         metrics: None,
         progress: None,
-        flush_every: 1,
         store: None,
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -221,7 +212,6 @@ fn parse_args() -> Result<Args, String> {
             "--timeout-ms" => out.timeout_ms = Some(number(&mut argv, "--timeout-ms")?),
             "--max-atoms-mem" => out.max_mem = Some(number(&mut argv, "--max-atoms-mem")?),
             "--checkpoint" => out.checkpoint = Some(value(&mut argv, "--checkpoint")?),
-            "--journal" => out.journal = Some(value(&mut argv, "--journal")?),
             "--checkpoint-every" => {
                 let every: u64 = number(&mut argv, "--checkpoint-every")?;
                 if every == 0 {
@@ -231,7 +221,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 out.checkpoint_every = Some(every);
             }
-            "--recover" => out.recover = true,
             "--threads" => {
                 // Still validated, but the chase has one sequential loop.
                 let _: usize = number(&mut argv, "--threads")?;
@@ -246,15 +235,6 @@ fn parse_args() -> Result<Args, String> {
                     );
                 }
                 out.progress = Some(secs);
-            }
-            "--journal-flush-every" => {
-                let every: u64 = number(&mut argv, "--journal-flush-every")?;
-                if every == 0 {
-                    return Err(
-                        "`--journal-flush-every` expects a positive integer, got `0`".to_string()
-                    );
-                }
-                out.flush_every = every;
             }
             "--edits" => out.edits = Some(value(&mut argv, "--edits")?),
             "--keep-completed" => {
@@ -287,11 +267,6 @@ fn parse_args() -> Result<Args, String> {
     if out.command != "serve" && out.store.is_some() {
         return Err("`--store` is only valid with `serve`".to_string());
     }
-    if out.command != "serve" && out.flush_every > 1 && out.journal.is_none() {
-        return Err("`--journal-flush-every` requires `--journal` (there is no journal \
-             to batch without one)"
-            .to_string());
-    }
     if out.checkpoint.is_some() && out.dot.is_some() {
         return Err(
             "`--checkpoint` cannot be combined with `--dot` \
@@ -299,16 +274,8 @@ fn parse_args() -> Result<Args, String> {
                 .to_string(),
         );
     }
-    if out.journal.is_some() && out.checkpoint.is_none() {
-        return Err("`--journal` requires `--checkpoint` (the journal replays on top \
-             of the snapshot)"
-            .to_string());
-    }
     if out.checkpoint_every.is_some() && out.checkpoint.is_none() && out.command != "serve" {
         return Err("`--checkpoint-every` requires `--checkpoint`".to_string());
-    }
-    if out.recover && (out.checkpoint.is_none() || out.journal.is_none()) {
-        return Err("`--recover` requires both `--checkpoint` and `--journal`".to_string());
     }
     if out.command == "update" && out.edits.is_none() {
         return Err("`update` requires `--edits FILE` (the edit script)".to_string());
@@ -316,8 +283,8 @@ fn parse_args() -> Result<Args, String> {
     if out.command != "update" && out.edits.is_some() {
         return Err("`--edits` is only valid with `update`".to_string());
     }
-    if out.command == "update" && (out.checkpoint.is_some() || out.journal.is_some()) {
-        return Err("`update` cannot be combined with `--checkpoint`/`--journal`: \
+    if out.command == "update" && out.checkpoint.is_some() {
+        return Err("`update` cannot be combined with `--checkpoint`: \
              derivation-tracked machines are not serializable (re-run the edited \
              program with `chase` for a durable artifact)"
             .to_string());
@@ -328,107 +295,52 @@ fn parse_args() -> Result<Args, String> {
     Ok(out)
 }
 
-/// Syncs the journal, publishes the snapshot crash-atomically, and re-bases
-/// the journal on the new snapshot. The order is the recovery invariant:
-/// the journal always covers at least everything past the published
-/// snapshot, so a kill anywhere in here loses nothing.
-fn write_durable_snapshot(
-    machine: &mut chasekit::engine::ChaseMachine<'_>,
-    checkpoint: &str,
-    journal: Option<&str>,
-    flush_every: u64,
-) -> Result<(), String> {
-    let text = machine
-        .snapshot()
-        .to_text()
-        .map_err(|e| format!("cannot checkpoint run: {e}"))?;
-    if let Some(mut j) = machine.take_journal() {
-        j.sync().map_err(|e| format!("cannot sync journal {}: {e}", j.path().display()))?;
-    }
-    write_snapshot_atomic(std::path::Path::new(checkpoint), &text)
-        .map_err(|e| format!("cannot write checkpoint {checkpoint}: {e}"))?;
-    if let Some(path) = journal {
-        let j = JournalWriter::for_machine(std::path::Path::new(path), machine)
-            .map_err(|e| format!("cannot re-base journal {path}: {e}"))?
-            .with_flush_every(flush_every);
-        machine.set_journal(j);
-    }
-    Ok(())
-}
-
 /// Durability failures are exit 15 ([`StopReason::Io`]'s code), not a
 /// generic 1: a full disk or revoked permission mid-run is an I/O stop,
 /// and scripts watching the run need to tell it apart from a bad input.
 const DURABILITY_FAILURE: u8 = 15;
 
-/// `chase --recover`: replay the journal atop the last good snapshot,
-/// publish the recovered state, and exit 3 without continuing the chase.
-fn run_recovery(args: &Args, program: &Program) -> ExitCode {
-    let ckpt_path = args.checkpoint.as_deref().expect("validated by parse_args");
-    let journal_path = args.journal.as_deref().expect("validated by parse_args");
-    let snapshot_text = match std::fs::read_to_string(ckpt_path) {
-        Ok(t) => Some(t),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            eprintln!("cannot read checkpoint {ckpt_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let journal_bytes = match std::fs::read(journal_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => {
-            eprintln!("cannot read journal {journal_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // The pre-first-snapshot genesis state, mirroring a fresh `chase` start.
-    let mut genesis_program = program.clone();
-    let genesis = if genesis_program.facts().is_empty() {
-        CriticalInstance::build(&mut genesis_program).instance
-    } else {
-        Instance::from_atoms(genesis_program.facts().iter().cloned())
-    };
-    let genesis_config = chasekit::engine::ChaseConfig::of(args.variant);
-
-    let (mut machine, report) = match recover(
-        &genesis_program,
-        snapshot_text.as_deref(),
-        &journal_bytes,
-        genesis,
-        genesis_config,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("cannot recover: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if report.had_snapshot {
-        println!("recovery: snapshot at {} applications", report.snapshot_applications);
-    } else {
-        println!("recovery: no snapshot found, starting from the initial instance");
+/// The exit code a chase run's [`StopReason`] maps to (see the module docs).
+fn stop_exit_code(reason: StopReason) -> ExitCode {
+    match reason {
+        StopReason::Saturated => ExitCode::SUCCESS,
+        StopReason::Applications => ExitCode::from(10),
+        StopReason::Atoms => ExitCode::from(11),
+        StopReason::WallClock => ExitCode::from(12),
+        StopReason::Memory => ExitCode::from(13),
+        StopReason::Cancelled => ExitCode::from(14),
+        StopReason::Io => ExitCode::from(DURABILITY_FAILURE),
     }
-    println!(
-        "recovery: {} journal records replayed ({} already covered by the snapshot), \
-         {} bytes of torn tail truncated",
-        report.records_replayed, report.records_skipped, report.bytes_truncated
-    );
-    println!(
-        "recovered state: {} applications, {} atoms",
-        report.final_applications, report.final_atoms
-    );
+}
 
-    if let Err(msg) =
-        write_durable_snapshot(&mut machine, ckpt_path, Some(journal_path), args.flush_every)
-    {
-        eprintln!("{msg}");
-        return ExitCode::from(DURABILITY_FAILURE);
+/// The end of a `chase`/`update` run: writes the `--dot` derivation DAG,
+/// flushes the trace, and writes the `--metrics` report (into the file
+/// opened before the run), each only when asked for.
+fn write_outputs(
+    args: &Args,
+    machine: &mut chasekit::engine::ChaseMachine<'_>,
+    program: &Program,
+    registry: Option<std::sync::Arc<std::sync::Mutex<chasekit::engine::MetricsRegistry>>>,
+    metrics_file: Option<std::fs::File>,
+) -> Result<(), String> {
+    use std::io::Write as _;
+    if let Some(path) = &args.dot {
+        let dot = chasekit::engine::derivation_to_dot(
+            machine.instance(),
+            machine.derivation(),
+            &program.vocab,
+        );
+        std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("derivation DAG written to {path}");
     }
-    println!("recovered state written to {ckpt_path} (rerun without --recover to continue)");
-    ExitCode::from(3)
+    machine.flush_trace();
+    if let (Some(path), Some(registry), Some(mut file)) = (&args.metrics, registry, metrics_file) {
+        let json = registry.lock().expect("metrics registry poisoned").to_json();
+        file.write_all(json.as_bytes())
+            .map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
+        println!("metrics written to {path}");
+    }
+    Ok(())
 }
 
 /// `chasekit serve`: run the multi-tenant chase service until shutdown.
@@ -454,7 +366,6 @@ fn run_serve(args: &Args) -> ExitCode {
         max_atoms: None,
         max_memory: args.max_mem,
         checkpoint_every: args.checkpoint_every.unwrap_or(256),
-        flush_every: args.flush_every,
     };
 
     let handle = match chasekit::engine::serve::serve(config) {
@@ -639,9 +550,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "chase" => {
-            if args.recover {
-                return run_recovery(&args, &program);
-            }
             let mut program = program.clone();
             use chasekit::engine::{ChaseConfig, ChaseMachine};
             let mut cfg = ChaseConfig::of(args.variant);
@@ -661,7 +569,7 @@ fn main() -> ExitCode {
                 },
                 None => None,
             };
-            let mut metrics_file = match &args.metrics {
+            let metrics_file = match &args.metrics {
                 Some(path) => match std::fs::File::create(path) {
                     Ok(f) => Some(f),
                     Err(e) => {
@@ -750,33 +658,6 @@ fn main() -> ExitCode {
                     }
                 }
             };
-            if let Some(path) = &args.journal {
-                // A crashed journaled run leaves unreplayed records; refuse
-                // to truncate them (that would silently discard the very
-                // work the journal exists to preserve).
-                let bytes = match std::fs::read(path) {
-                    Ok(b) => b,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                    Err(e) => {
-                        eprintln!("cannot read journal {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if needs_recovery(&machine, &bytes) {
-                    eprintln!(
-                        "journal {path} holds unreplayed records from an interrupted run; \
-                         run with --recover first (or delete the journal to discard that work)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                match JournalWriter::for_machine(std::path::Path::new(path), &machine) {
-                    Ok(j) => machine.set_journal(j.with_flush_every(args.flush_every)),
-                    Err(e) => {
-                        eprintln!("cannot create journal {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             if let Some(secs) = args.progress {
                 machine.set_progress(
                     std::time::Duration::from_secs(secs),
@@ -797,52 +678,23 @@ fn main() -> ExitCode {
 
             // One overall wall-clock deadline, even when `--checkpoint-every`
             // splits the run into snapshot legs.
-            let deadline = args
-                .timeout_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-            let outcome = loop {
-                let target = match args.checkpoint_every {
-                    Some(every) => {
-                        machine.stats().applications.saturating_add(every).min(args.steps)
-                    }
-                    None => args.steps,
-                };
-                let mut budget = Budget::applications(target);
-                if let Some(d) = deadline {
-                    let left = d.saturating_duration_since(std::time::Instant::now());
-                    budget = budget.with_timeout_ms(left.as_millis() as u64);
-                }
-                if let Some(bytes) = args.max_mem {
-                    budget = budget.with_memory(bytes);
-                }
-                let stop = machine.run(&budget);
-                // A snapshot leg ended with overall budget to spare: publish
-                // a periodic snapshot, re-base the journal, keep going.
-                if stop == StopReason::Applications && target < args.steps {
-                    let path = args.checkpoint.as_deref().expect("--checkpoint-every requires it");
-                    if let Err(msg) = write_durable_snapshot(
-                        &mut machine,
-                        path,
-                        args.journal.as_deref(),
-                        args.flush_every,
-                    ) {
-                        eprintln!("{msg}");
-                        return ExitCode::from(DURABILITY_FAILURE);
-                    }
-                    let (applications, atoms, pending) = (
-                        machine.stats().applications,
-                        machine.instance().len(),
-                        machine.pending(),
-                    );
-                    machine.trace_note(TraceEvent::CheckpointWrite {
-                        applications,
-                        atoms,
-                        pending,
-                    });
-                    continue;
-                }
-                break stop;
-            };
+            let mut budget = Budget::applications(args.steps);
+            if let Some(ms) = args.timeout_ms {
+                budget = budget.with_timeout_ms(ms);
+            }
+            if let Some(bytes) = args.max_mem {
+                budget = budget.with_memory(bytes);
+            }
+            let checkpoint = args.checkpoint.as_deref().map(std::path::Path::new);
+            let (outcome, io_error) = run_durable(
+                &mut machine,
+                &budget,
+                args.checkpoint_every.unwrap_or(0),
+                checkpoint,
+            );
+            if let Some(msg) = &io_error {
+                eprintln!("{msg}");
+            }
             println!(
                 "outcome: {} after {} applications, {} atoms, {} nulls (~{} KiB)",
                 outcome,
@@ -852,94 +704,39 @@ fn main() -> ExitCode {
                 machine.approx_memory_bytes() / 1024
             );
 
-            if outcome == StopReason::Io {
-                if let Some(msg) = machine.journal_failed() {
-                    eprintln!("journal write failed: {msg}");
+            match (checkpoint, outcome) {
+                // A publication already failed: the last published snapshot
+                // stays as the resumable state.
+                (_, StopReason::Io) | (None, _) => {}
+                (Some(path), StopReason::Saturated) => {
+                    // The run finished: a stale checkpoint would silently
+                    // replay the old state on the next invocation, so a
+                    // failed removal is a durability error, not noise.
+                    match remove_snapshot(path) {
+                        Ok(true) => println!("run saturated: checkpoint {} removed", path.display()),
+                        Ok(false) => {}
+                        Err(e) => {
+                            eprintln!("cannot remove stale checkpoint {}: {e}", path.display());
+                            return ExitCode::from(DURABILITY_FAILURE);
+                        }
+                    }
                 }
-                // The snapshot below supersedes the broken journal; don't
-                // try to sync it (the sticky error would mask the snapshot).
-                let _ = machine.take_journal();
-            }
-            if let Some(path) = &args.checkpoint {
-                if outcome.exhausted() {
-                    // Atomic publication even for plain `--checkpoint` runs:
-                    // a kill mid-write can't tear the snapshot.
-                    if let Err(msg) = write_durable_snapshot(
-                        &mut machine,
-                        path,
-                        args.journal.as_deref(),
-                        args.flush_every,
-                    ) {
+                (Some(path), _) => {
+                    if let Err(msg) = publish_snapshot(&mut machine, path) {
                         eprintln!("{msg}");
                         return ExitCode::from(DURABILITY_FAILURE);
                     }
-                    let (applications, atoms, pending) =
-                        (machine.stats().applications, machine.instance().len(), machine.pending());
-                    machine.trace_note(TraceEvent::CheckpointWrite { applications, atoms, pending });
-                    println!("checkpoint written to {path} (rerun to continue)");
-                } else {
-                    // The run finished: a stale checkpoint or journal would
-                    // silently replay the old state on the next invocation,
-                    // so a failed removal is a durability error, not noise.
-                    if std::path::Path::new(path).exists() {
-                        match std::fs::remove_file(path) {
-                            Ok(()) => println!("run saturated: checkpoint {path} removed"),
-                            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                            Err(e) => {
-                                eprintln!("cannot remove stale checkpoint {path}: {e}");
-                                return ExitCode::from(DURABILITY_FAILURE);
-                            }
-                        }
-                    }
-                    if let Some(journal) = &args.journal {
-                        // Nothing left to recover either.
-                        let _ = machine.take_journal();
-                        match std::fs::remove_file(journal) {
-                            Ok(()) => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                            Err(e) => {
-                                eprintln!("cannot remove stale journal {journal}: {e}");
-                                return ExitCode::from(DURABILITY_FAILURE);
-                            }
-                        }
-                    }
+                    println!("checkpoint written to {} (rerun to continue)", path.display());
                 }
             }
 
-            if let Some(path) = &args.dot {
-                let dot = chasekit::engine::derivation_to_dot(
-                    machine.instance(),
-                    machine.derivation(),
-                    &program.vocab,
-                );
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("derivation DAG written to {path}");
-            }
-            machine.flush_trace();
-            if let (Some(path), Some(registry)) = (&args.metrics, &registry) {
-                use std::io::Write as _;
-                let json = registry.lock().expect("metrics registry poisoned").to_json();
-                let mut file = metrics_file.take().expect("metrics file was opened");
-                if let Err(e) = file.write_all(json.as_bytes()) {
-                    eprintln!("cannot write metrics file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("metrics written to {path}");
+            if let Err(msg) = write_outputs(&args, &mut machine, &program, registry, metrics_file) {
+                eprintln!("{msg}");
+                return ExitCode::FAILURE;
             }
 
             print!("{}", instance_to_string(machine.instance(), &program.vocab));
-            match outcome {
-                StopReason::Saturated => ExitCode::SUCCESS,
-                StopReason::Applications => ExitCode::from(10),
-                StopReason::Atoms => ExitCode::from(11),
-                StopReason::WallClock => ExitCode::from(12),
-                StopReason::Memory => ExitCode::from(13),
-                StopReason::Cancelled => ExitCode::from(14),
-                StopReason::Io => ExitCode::from(15),
-            }
+            stop_exit_code(outcome)
         }
         "update" => {
             use chasekit::engine::{parse_edit_script, ChaseConfig, ChaseMachine};
@@ -1041,39 +838,12 @@ fn main() -> ExitCode {
                 machine.instance().len(),
                 machine.approx_memory_bytes() / 1024
             );
-            if let Some(path) = &args.dot {
-                let dot = chasekit::engine::derivation_to_dot(
-                    machine.instance(),
-                    machine.derivation(),
-                    &program.vocab,
-                );
-                if let Err(e) = std::fs::write(path, dot) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("derivation DAG written to {path}");
-            }
-            machine.flush_trace();
-            if let (Some(path), Some(registry)) = (&args.metrics, &registry) {
-                use std::io::Write as _;
-                let json = registry.lock().expect("metrics registry poisoned").to_json();
-                let mut file = metrics_file.take().expect("metrics file was opened");
-                if let Err(e) = file.write_all(json.as_bytes()) {
-                    eprintln!("cannot write metrics file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("metrics written to {path}");
+            if let Err(msg) = write_outputs(&args, &mut machine, &program, registry, metrics_file) {
+                eprintln!("{msg}");
+                return ExitCode::FAILURE;
             }
             print!("{}", instance_to_string(machine.instance(), &program.vocab));
-            match report.outcome {
-                StopReason::Saturated => ExitCode::SUCCESS,
-                StopReason::Applications => ExitCode::from(10),
-                StopReason::Atoms => ExitCode::from(11),
-                StopReason::WallClock => ExitCode::from(12),
-                StopReason::Memory => ExitCode::from(13),
-                StopReason::Cancelled => ExitCode::from(14),
-                StopReason::Io => ExitCode::from(15),
-            }
+            stop_exit_code(report.outcome)
         }
         "explain" => {
             use chasekit::core::display::atom_to_string;

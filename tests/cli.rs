@@ -656,15 +656,25 @@ fn run_env(args: &[&str], env: &[(&str, &str)]) -> (String, String, Option<i32>)
     )
 }
 
+/// The flags the retired write-ahead journal took (name without the
+/// leading `--`, and a value if it took one). Each is now an unknown flag.
+const RETIRED_FLAGS: [(&str, Option<&str>); 3] =
+    [("journal", Some("/tmp/x.journal")), ("recover", None), ("journal-flush-every", Some("4"))];
+
 #[test]
 fn journal_flags_are_validated_up_front() {
+    // The name is kept from the journal flags this test used to validate;
+    // those flags are gone, and naming one is an unknown-flag error.
     let path = write_rules("journal-flags.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
     let rules = path.to_str().unwrap();
-    // --journal needs --checkpoint.
-    let (_, stderr, code) = run(&["chase", rules, "--journal", "/tmp/x.journal"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--journal"), "{stderr}");
-    assert!(stderr.contains("--checkpoint"), "{stderr}");
+    for (name, value) in RETIRED_FLAGS {
+        let flag = format!("--{name}");
+        let mut argv = vec!["chase", rules, "--checkpoint", "/tmp/x.ckpt", &flag];
+        argv.extend(value);
+        let (_, stderr, code) = run(&argv);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
+    }
     // --checkpoint-every needs --checkpoint and a positive count.
     let (_, stderr, code) = run(&["chase", rules, "--checkpoint-every", "50"]);
     assert_eq!(code, Some(2));
@@ -675,15 +685,6 @@ fn journal_flags_are_validated_up_front() {
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--checkpoint-every"), "{stderr}");
     assert!(stderr.contains("0"), "{stderr}");
-    // --recover needs both files.
-    let (_, stderr, code) = run(&["chase", rules, "--recover"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--recover"), "{stderr}");
-    let (_, stderr, code) =
-        run(&["chase", rules, "--checkpoint", "/tmp/x.ckpt", "--recover"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--recover"), "{stderr}");
-    assert!(stderr.contains("--journal"), "{stderr}");
 }
 
 #[test]
@@ -700,110 +701,96 @@ fn malformed_failpoint_spec_is_named_in_the_error() {
 
 #[test]
 fn journal_write_failure_exits_15_with_the_state_preserved() {
+    // The name is kept from the journal; the durability write that fails
+    // is now the second periodic snapshot publication.
     let path = write_rules("journal-io.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
-    let dir = std::env::temp_dir().join("chasekit-cli-tests");
-    let ckpt = dir.join("io15.ckpt");
-    let journal = dir.join("io15.journal");
+    let rules = path.to_str().unwrap();
+    let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("io15.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
+    let args = ["chase", rules, "--steps", "50", "--checkpoint", ckpt.to_str().unwrap()];
     let (stdout, stderr, code) = run_env(
-        &[
-            "chase",
-            path.to_str().unwrap(),
-            "--steps",
-            "50",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ],
-        &[("CHASEKIT_FAILPOINTS", "journal.append=error@5")],
+        &[&args[..], &["--checkpoint-every", "10"]].concat(),
+        &[("CHASEKIT_FAILPOINTS", "snapshot.write=error@2")],
     );
     assert_eq!(code, Some(15), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stderr.contains("journal write failed"), "{stderr}");
-    // The in-memory state is still sound, so the run parks a checkpoint.
-    assert!(ckpt.exists(), "an Io stop must still park the state");
+    assert!(stderr.contains("cannot write checkpoint"), "{stderr}");
+    assert!(stderr.contains("snapshot.write"), "{stderr}");
+    assert!(stdout.contains("outcome: io after 20 applications"), "{stdout}");
+    // Leg 1's checkpoint is intact and resumes into the same result as a
+    // straight run.
+    let (resumed, _, code) = run(&args);
+    assert_eq!(code, Some(10), "{resumed}");
+    assert!(resumed.contains("(resuming from checkpoint: 10 applications"), "{resumed}");
+    let (straight, _, _) = run(&["chase", rules, "--steps", "50"]);
+    let atoms = |s: &str| -> Vec<String> {
+        s.lines().filter(|l| l.starts_with("p(")).map(|l| l.to_string()).collect()
+    };
+    assert_eq!(atoms(&resumed), atoms(&straight));
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
 }
 
 #[test]
 fn recovery_reports_replayed_records_and_exits_3() {
+    // The name is kept from `--recover`, which is gone: recovering a killed
+    // run is rerunning the same command. It reports where it resumed and
+    // ends bit-identical to a straight run.
     let path = write_rules("recover-report.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
     let rules = path.to_str().unwrap();
     let dir = std::env::temp_dir().join("chasekit-cli-tests");
     let ckpt = dir.join("report.ckpt");
-    let journal = dir.join("report.journal");
+    let reference = dir.join("report-ref.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&reference);
+    let args = [
+        "chase", rules, "--steps", "60",
+        "--checkpoint", ckpt.to_str().unwrap(),
+        "--checkpoint-every", "20",
+    ];
 
-    // Simulated kill right before the first periodic snapshot publishes:
-    // the journal holds 20 records, the checkpoint does not exist.
-    let (_, _, code) = run_env(
-        &[
-            "chase", rules, "--steps", "60",
-            "--checkpoint", ckpt.to_str().unwrap(),
-            "--journal", journal.to_str().unwrap(),
-            "--checkpoint-every", "20",
-        ],
-        &[("CHASEKIT_FAILPOINTS", "snapshot.rename=exit:9@1")],
-    );
+    // Simulated kill while publishing the second periodic snapshot: leg 1
+    // (20 applications) is on disk, leg 2 never landed.
+    let (_, _, code) = run_env(&args, &[("CHASEKIT_FAILPOINTS", "snapshot.rename=exit:9@2")]);
     assert_eq!(code, Some(9));
-    assert!(journal.exists() && !ckpt.exists());
+    assert!(ckpt.exists());
 
-    // A journaled restart refuses until the records are replayed.
-    let (_, stderr, code) = run(&[
-        "chase", rules, "--steps", "60",
-        "--checkpoint", ckpt.to_str().unwrap(),
-        "--journal", journal.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("--recover"), "{stderr}");
+    let (stdout, stderr, code) = run(&args);
+    assert_eq!(code, Some(10), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains("(resuming from checkpoint: 20 applications, 21 atoms, 1 pending)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("outcome: applications after 60 applications"), "{stdout}");
 
-    let (stdout, stderr, code) = run(&[
-        "chase", rules, "--steps", "60",
-        "--checkpoint", ckpt.to_str().unwrap(),
-        "--journal", journal.to_str().unwrap(),
-        "--recover",
-    ]);
-    assert_eq!(code, Some(3), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.contains("no snapshot found"), "{stdout}");
-    assert!(stdout.contains("20 journal records replayed"), "{stdout}");
-    assert!(stdout.contains("bytes of torn tail truncated"), "{stdout}");
-    assert!(stdout.contains("recovered state: 20 applications"), "{stdout}");
-    assert!(ckpt.exists(), "recovery must publish the recovered state");
-
-    // The published state continues like any checkpoint.
-    let (stdout, _, code) = run(&[
-        "chase", rules, "--steps", "60",
-        "--checkpoint", ckpt.to_str().unwrap(),
-        "--journal", journal.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(10), "{stdout}");
-    assert!(stdout.contains("resuming from checkpoint"), "{stdout}");
+    let (_, _, code) =
+        run(&["chase", rules, "--steps", "60", "--checkpoint", reference.to_str().unwrap()]);
+    assert_eq!(code, Some(10));
+    assert_eq!(
+        std::fs::read_to_string(&ckpt).unwrap(),
+        std::fs::read_to_string(&reference).unwrap()
+    );
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&reference);
 }
 
 #[test]
 fn saturating_journaled_run_removes_both_files() {
+    // The name is kept from the journal; the two files are now the
+    // checkpoint and the `.tmp` a torn publication left beside it.
     let path = write_rules("journal-sat.rules", "e(a, b). e(X, Y) -> t(Y, X).");
+    let rules = path.to_str().unwrap();
     let dir = std::env::temp_dir().join("chasekit-cli-tests");
     let ckpt = dir.join("jsat.ckpt");
-    let journal = dir.join("jsat.journal");
+    let tmp = dir.join("jsat.ckpt.tmp");
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
-    let (stdout, _, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--journal",
-        journal.to_str().unwrap(),
-    ]);
+    // Park the run before its only application, then plant a torn tmp.
+    let (_, _, code) = run(&["chase", rules, "--steps", "0", "--checkpoint", ckpt.to_str().unwrap()]);
+    assert_eq!(code, Some(10));
+    std::fs::write(&tmp, "torn").unwrap();
+    let (stdout, _, code) = run(&["chase", rules, "--checkpoint", ckpt.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("checkpoint"), "{stdout}");
     assert!(!ckpt.exists(), "saturation leaves no checkpoint");
-    assert!(!journal.exists(), "saturation leaves no journal");
+    assert!(!tmp.exists(), "saturation leaves no torn temporary file");
 }
 
 #[test]
@@ -831,18 +818,17 @@ fn serve_and_flush_flags_are_validated_up_front() {
     let (_, stderr, code) = run(&["chase", rules, "--store", "/tmp/nope"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--store"), "{stderr}");
-    // Group commit on a chase run needs a journal to group.
-    let (_, stderr, code) = run(&["chase", rules, "--journal-flush-every", "4"]);
+    // The journal's group-commit flag is gone: naming it is an error.
+    let (name, value) = RETIRED_FLAGS[2];
+    let flag = format!("--{name}");
+    let (_, stderr, code) = run(&["serve", "--store", "/tmp/nope", &flag, value.unwrap()]);
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("--journal-flush-every"), "{stderr}");
-    assert!(stderr.contains("--journal"), "{stderr}");
-    // Zero is not a batch size or a queue depth (`--workers 0` is valid:
-    // it means one worker per available core).
-    for flag in ["--journal-flush-every", "--queue"] {
-        let (_, stderr, code) = run(&["serve", "--store", "/tmp/nope", flag, "0"]);
-        assert_eq!(code, Some(2), "{flag}: {stderr}");
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
-    }
+    assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
+    // Zero is not a queue depth (`--workers 0` is valid: it means one
+    // worker per available core).
+    let (_, stderr, code) = run(&["serve", "--store", "/tmp/nope", "--queue", "0"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--queue"), "{stderr}");
     // A negative worker count is a named argument error.
     let (_, stderr, code) = run(&["serve", "--store", "/tmp/never", "--workers", "-3"]);
     assert_eq!(code, Some(2));
@@ -878,34 +864,25 @@ fn final_checkpoint_write_failure_exits_15_with_a_named_error() {
 fn recovery_publication_failure_exits_15() {
     let path = write_rules("recover-io.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
     let rules = path.to_str().unwrap();
-    let dir = std::env::temp_dir().join("chasekit-cli-tests");
-    let ckpt = dir.join("recover-io.ckpt");
-    let journal = dir.join("recover-io.journal");
+    let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("recover-io.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
-    // Crash a journaled run, then make the recovery's snapshot rewrite fail:
-    // recovery must surface the durability failure, not claim success.
-    let (_, _, code) = run_env(
-        &[
-            "chase", rules, "--steps", "60",
-            "--checkpoint", ckpt.to_str().unwrap(),
-            "--journal", journal.to_str().unwrap(),
-            "--checkpoint-every", "20",
-        ],
-        &[("CHASEKIT_FAILPOINTS", "snapshot.rename=exit:9@1")],
-    );
+    let args = [
+        "chase", rules, "--steps", "60",
+        "--checkpoint", ckpt.to_str().unwrap(),
+        "--checkpoint-every", "20",
+    ];
+    // Kill a durable run after leg 1, then make the resumed run's first
+    // publication fail: the rerun must surface the durability failure, not
+    // claim success, and leg 1's snapshot must survive it.
+    let (_, _, code) = run_env(&args, &[("CHASEKIT_FAILPOINTS", "snapshot.rename=exit:9@2")]);
     assert_eq!(code, Some(9));
-    let (stdout, stderr, code) = run_env(
-        &[
-            "chase", rules, "--steps", "60",
-            "--checkpoint", ckpt.to_str().unwrap(),
-            "--journal", journal.to_str().unwrap(),
-            "--recover",
-        ],
-        &[("CHASEKIT_FAILPOINTS", "snapshot.write=error@1")],
-    );
+    let (stdout, stderr, code) =
+        run_env(&args, &[("CHASEKIT_FAILPOINTS", "snapshot.write=error@1")]);
     assert_eq!(code, Some(15), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("resuming from checkpoint: 20 applications"), "{stdout}");
     assert!(stderr.contains("snapshot.write"), "{stderr}");
+    let (stdout, _, code) = run(&args);
+    assert_eq!(code, Some(10), "{stdout}");
+    assert!(stdout.contains("resuming from checkpoint: 20 applications"), "{stdout}");
     let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&journal);
 }

@@ -1,26 +1,34 @@
 //! Crash/recovery differential suite for the durability layer.
 //!
 //! The headline guarantee under test: **kill the chase at any injected
-//! fault point, recover from the journal + last good snapshot, continue —
-//! and the final state is bit-identical to a run that never crashed**, for
-//! every corpus program and all three chase variants.
+//! fault point, resume the last published snapshot (or start from genesis
+//! when none was published), continue — and the final state is
+//! bit-identical to a run that never crashed**, for every corpus program
+//! and all three chase variants.
 //! "Bit-identical" is checkpoint-text equality (instance, queue, identity
 //! set, RNG state, counters — hence also the trace `core_seq`), plus
 //! derivation-DAG and Skolem-ancestry equality for tracked runs, plus
-//! trace-stream suffix equality for the recovered continuation.
+//! trace-stream suffix equality for the resumed continuation.
+//!
+//! Durability is atomic snapshots + determinism: after a kill the disk
+//! holds no snapshot or the one published after some leg, possibly beside
+//! a torn `<path>.tmp`. The `snapshot.write`/`snapshot.rename` failpoints
+//! at successive hit counts reach every one of those states.
 //!
 //! Failpoint state is process-global, so every in-process test that arms
-//! one serializes on [`FAILPOINT_LOCK`]. The spawned-binary tests pass the
-//! spec through `CHASEKIT_FAILPOINTS` instead and need no lock.
+//! one — or runs code with failpoint sites — serializes on
+//! [`FAILPOINT_LOCK`]. The spawned-binary tests pass the spec through
+//! `CHASEKIT_FAILPOINTS` instead and need no lock.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 
+use chasekit::engine::serve::{run_job, JobSpec};
 use chasekit::engine::{
-    failpoint, needs_recovery, recover, write_snapshot_atomic, ChaseConfig, ChaseMachine,
-    Checkpoint, CheckpointError, JournalWriter, JsonlSink, StopReason, TraceSink,
+    crc32, failpoint, publish_snapshot, run_durable, CancelToken, ChaseConfig, ChaseMachine,
+    Checkpoint, CheckpointError, JsonlSink, StopReason, TraceSink,
 };
 use chasekit::prelude::*;
 
@@ -62,12 +70,11 @@ fn budget(total: u64) -> Budget {
     Budget::applications(total).with_atoms(4_000)
 }
 
-/// Drives a journaled run with periodic snapshots the way the CLI does,
-/// abandoning everything mid-flight at the first durability casualty — a
-/// sticky journal error ([`StopReason::Io`]) or a failed snapshot/sync.
-/// Whatever the files hold at that moment is exactly what a killed
-/// process leaves behind.
-#[allow(clippy::too_many_arguments)]
+/// Drives a durable run the way the CLI does — [`run_durable`] with a
+/// snapshot every `every` applications, then a final publication —
+/// abandoning everything at the first durability casualty. Whatever the
+/// files hold at that moment is exactly what a killed process leaves
+/// behind.
 fn durable_run_until_crash(
     program: &Program,
     variant: ChaseVariant,
@@ -75,45 +82,29 @@ fn durable_run_until_crash(
     every: u64,
     total: u64,
     ckpt: &Path,
-    journal: &Path,
-    flush_every: u64,
 ) {
-    let cfg = ChaseConfig::of(variant);
-    let mut machine = ChaseMachine::new(program, cfg, initial.clone());
-    match JournalWriter::for_machine(journal, &machine) {
-        Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
-        Err(_) => return, // crashed creating the journal
+    let mut machine = ChaseMachine::new(program, ChaseConfig::of(variant), initial.clone());
+    let (stop, _) = run_durable(&mut machine, &budget(total), every, Some(ckpt));
+    if stop != StopReason::Io {
+        // The fault never landed in a periodic publication: publish the
+        // final state (which may itself be the casualty).
+        let _ = publish_snapshot(&mut machine, ckpt);
     }
-    loop {
-        let target = machine.stats().applications.saturating_add(every).min(total);
-        let stop = machine.run(&budget(target));
-        if stop == StopReason::Io {
-            return; // journal write died; run stopped at a boundary
-        }
-        if stop == StopReason::Applications && target < total {
-            // Periodic snapshot: sync journal, publish, re-base.
-            let text = machine.snapshot().to_text().unwrap();
-            let mut j = machine.take_journal().unwrap();
-            if j.sync().is_err() {
-                return;
-            }
-            if write_snapshot_atomic(ckpt, &text).is_err() {
-                return;
-            }
-            match JournalWriter::for_machine(journal, &machine) {
-                Ok(j) => machine.set_journal(j.with_flush_every(flush_every)),
-                Err(_) => return,
-            }
-            continue;
-        }
-        // Ran to the end without a casualty (the fault never landed in
-        // an executed window): publish the final state cleanly.
-        let text = machine.snapshot().to_text().unwrap();
-        if let Some(mut j) = machine.take_journal() {
-            let _ = j.sync();
-        }
-        let _ = write_snapshot_atomic(ckpt, &text);
-        return;
+}
+
+/// The recovery procedure: resume the published snapshot, or start from
+/// genesis when none was ever published. Nothing else on disk is read.
+fn resume_or_genesis<'p>(
+    program: &'p Program,
+    variant: ChaseVariant,
+    initial: &Instance,
+    ckpt: &Path,
+) -> ChaseMachine<'p> {
+    match std::fs::read_to_string(ckpt) {
+        Ok(text) => Checkpoint::from_text(&text)
+            .and_then(|c| c.resume(program))
+            .expect("a published snapshot is always whole"),
+        Err(_) => ChaseMachine::new(program, ChaseConfig::of(variant), initial.clone()),
     }
 }
 
@@ -125,34 +116,56 @@ fn recover_and_finish(
     initial: &Instance,
     total: u64,
     ckpt: &Path,
-    journal: &Path,
 ) -> String {
-    let snapshot_text = std::fs::read_to_string(ckpt).ok();
-    let journal_bytes = std::fs::read(journal).unwrap_or_default();
-    let (mut machine, _report) = recover(
-        program,
-        snapshot_text.as_deref(),
-        &journal_bytes,
-        initial.clone(),
-        ChaseConfig::of(variant),
-    )
-    .expect("crash scenes always recover");
+    let mut machine = resume_or_genesis(program, variant, initial, ckpt);
     machine.run(&budget(total));
     state_text(&machine)
 }
 
-/// Every failpoint the durability layer exposes, armed at a hit index that
-/// lands inside a short run.
+/// Every failpoint the durability layer exposes, armed at hits 1–4: with
+/// snapshots every 25 applications of a 120-application run, the hits are
+/// the publications after legs 1–4, so a fault lands at every leg, as an
+/// I/O error, a torn temporary file, or a failed rename.
 const FAULT_PLANS: &[&str] = &[
-    "journal.append=error@7",
-    "journal.append=short:3@13",
-    "journal.sync=error@1",
     "snapshot.write=error@1",
+    "snapshot.write=error@2",
+    "snapshot.write=error@3",
+    "snapshot.write=error@4",
+    "snapshot.write=short:40@1",
     "snapshot.write=short:40@2",
+    "snapshot.write=short:40@3",
     "snapshot.rename=error@1",
-    "journal.truncate=short:10@1",
-    "journal.truncate=short:10@2",
+    "snapshot.rename=error@2",
+    "snapshot.rename=error@3",
+    "snapshot.rename=error@4",
 ];
+
+/// Runs the kill-at-every-failpoint differential for one program and
+/// variant at snapshot cadence `every`.
+fn assert_recovers_at_every_failpoint(
+    name: &str,
+    program: &Program,
+    variant: ChaseVariant,
+    initial: &Instance,
+    every: u64,
+    dir: &Path,
+) {
+    const TOTAL: u64 = 120;
+    let ckpt = dir.join("state.ckpt");
+    failpoint::clear();
+    let mut reference = ChaseMachine::new(program, ChaseConfig::of(variant), initial.clone());
+    reference.run(&budget(TOTAL));
+    let want = state_text(&reference);
+
+    for plan in FAULT_PLANS {
+        let _ = std::fs::remove_file(&ckpt);
+        failpoint::configure(plan).unwrap();
+        durable_run_until_crash(program, variant, initial, every, TOTAL, &ckpt);
+        failpoint::clear();
+        let got = recover_and_finish(program, variant, initial, TOTAL, &ckpt);
+        assert_eq!(want, got, "{name}: {variant:?} diverged after `{plan}`, every {every}");
+    }
+}
 
 /// The headline differential: corpus (which includes paper Examples 1–2)
 /// × all variants × every failpoint. Crash, recover,
@@ -161,89 +174,36 @@ const FAULT_PLANS: &[&str] = &[
 fn kill_at_every_failpoint_recovers_bit_identical() {
     let _g = failpoint_guard();
     let dir = scratch("differential");
-    let ckpt = dir.join("state.ckpt");
-    let journal = dir.join("state.journal");
-    const EVERY: u64 = 25;
-    const TOTAL: u64 = 120;
-
     for family in chasekit::datagen::corpus() {
         let mut program = family.program;
         let initial = seed(&mut program);
         for variant in VARIANTS {
-            // Uninterrupted reference.
-            failpoint::clear();
-            let mut reference = ChaseMachine::new(
-                &program,
-                ChaseConfig::of(variant),
-                initial.clone(),
-            );
-            reference.run(&budget(TOTAL));
-            let want = state_text(&reference);
-
-            for plan in FAULT_PLANS {
-                let _ = std::fs::remove_file(&ckpt);
-                let _ = std::fs::remove_file(&journal);
-                failpoint::configure(plan).unwrap();
-                durable_run_until_crash(
-                    &program, variant, &initial, EVERY, TOTAL, &ckpt, &journal, 1,
-                );
-                failpoint::clear();
-                let got = recover_and_finish(&program, variant, &initial, TOTAL, &ckpt, &journal);
-                assert_eq!(want, got, "{}: {variant:?} diverged after `{plan}`", family.name);
-            }
+            assert_recovers_at_every_failpoint(&family.name, &program, variant, &initial, 25, &dir);
         }
     }
 }
 
-/// The same kill-at-every-failpoint differential with journal group
-/// commit enabled: batching N records per `write(2)` may lose up to a
-/// buffered batch plus a torn line to a crash, but what survives is
-/// always a valid journal prefix — so recover-and-continue still lands
-/// bit-identical to the uninterrupted run. A reduced corpus slice keeps
-/// the sweep affordable; the fault plans are the full set.
+/// The name is kept from the journal's group-commit sweep, which this
+/// replaces: the same kill-at-every-failpoint differential at the extreme
+/// snapshot cadences — a publication after every application, and one
+/// every 64 — on a reduced corpus slice.
 #[test]
 fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
     let _g = failpoint_guard();
-    let dir = scratch("group-commit-differential");
-    let ckpt = dir.join("state.ckpt");
-    let journal = dir.join("state.journal");
-    const EVERY: u64 = 25;
-    const TOTAL: u64 = 120;
-
+    let dir = scratch("cadence-differential");
     for family in chasekit::datagen::corpus().into_iter().take(4) {
         let mut program = family.program;
         let initial = seed(&mut program);
         for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
-            failpoint::clear();
-            let mut reference =
-                ChaseMachine::new(&program, ChaseConfig::of(variant), initial.clone());
-            reference.run(&budget(TOTAL));
-            let want = state_text(&reference);
-
-            for flush_every in [8u64, 64] {
-                for plan in FAULT_PLANS {
-                    let _ = std::fs::remove_file(&ckpt);
-                    let _ = std::fs::remove_file(&journal);
-                    failpoint::configure(plan).unwrap();
-                    durable_run_until_crash(
-                        &program,
-                        variant,
-                        &initial,
-                        EVERY,
-                        TOTAL,
-                        &ckpt,
-                        &journal,
-                        flush_every,
-                    );
-                    failpoint::clear();
-                    let got =
-                        recover_and_finish(&program, variant, &initial, TOTAL, &ckpt, &journal);
-                    assert_eq!(
-                        want, got,
-                        "{}: {variant:?} diverged after `{plan}`, flush-every {flush_every}",
-                        family.name
-                    );
-                }
+            for every in [1u64, 64] {
+                assert_recovers_at_every_failpoint(
+                    &family.name,
+                    &program,
+                    variant,
+                    &initial,
+                    every,
+                    &dir,
+                );
             }
         }
     }
@@ -304,16 +264,15 @@ impl std::io::Write for SharedBuf {
     }
 }
 
-/// The recovered continuation's trace is a byte-exact *suffix* of the
+/// The resumed continuation's trace is a byte-exact *suffix* of the
 /// uninterrupted run's trace: sequence numbers resume contiguously and
-/// every core event matches (`core_seq` composes across recovery exactly
+/// every core event matches (`core_seq` composes across a crash exactly
 /// as it does across checkpoint resume).
 #[test]
 fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
     let _g = failpoint_guard();
     let dir = scratch("trace-suffix");
     let ckpt = dir.join("t.ckpt");
-    let journal = dir.join("t.journal");
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
@@ -333,25 +292,15 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
         machine.flush_trace();
         let want = String::from_utf8(reference.0.lock().unwrap().clone()).unwrap();
 
-        // Crash an (untraced) journaled run, recover, then trace only the
-        // continuation.
+        // Crash an (untraced) durable run at its second publication, resume
+        // the first, then trace only the continuation.
         let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(&journal);
-        failpoint::configure("journal.append=error@31").unwrap();
-        durable_run_until_crash(&program, variant, &initial, 20, 80, &ckpt, &journal, 1);
+        failpoint::configure("snapshot.write=error@2").unwrap();
+        durable_run_until_crash(&program, variant, &initial, 20, 80, &ckpt);
         failpoint::clear();
 
-        let snapshot_text = std::fs::read_to_string(&ckpt).ok();
-        let journal_bytes = std::fs::read(&journal).unwrap_or_default();
-        let (mut recovered, report) = recover(
-            &program,
-            snapshot_text.as_deref(),
-            &journal_bytes,
-            initial.clone(),
-            ChaseConfig::of(variant),
-        )
-        .unwrap();
-        assert!(report.records_replayed > 0, "{variant:?}: the fault must have landed");
+        let mut recovered = resume_or_genesis(&program, variant, &initial, &ckpt);
+        assert_eq!(recovered.stats().applications, 20, "{variant:?}: the fault must have landed");
         let cont = SharedBuf(Arc::new(Mutex::new(Vec::new())));
         recovered.set_trace_sink(Box::new(JsonlSink::new(cont.clone(), &program)));
         recovered.run(&budget(80));
@@ -369,155 +318,170 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
     }
 }
 
-/// A journal append failure (real I/O error) stops the run with
-/// [`StopReason::Io`] at a step boundary, leaving a consistent machine.
+/// The name is kept from the journal, whose append failures this test
+/// covered. A failed periodic publication stops [`run_durable`] with
+/// [`StopReason::Io`] at the leg boundary and the named error, leaving
+/// the machine consistent and the earlier snapshot intact.
 #[test]
 fn journal_failure_stops_with_io_at_a_boundary() {
     let _g = failpoint_guard();
     let dir = scratch("io-stop");
+    let ckpt = dir.join("io.ckpt");
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
+    let cfg = ChaseConfig::of(ChaseVariant::Oblivious);
 
-    failpoint::configure("journal.append=error@10").unwrap();
-    let mut machine =
-        ChaseMachine::new(&program, ChaseConfig::of(ChaseVariant::Oblivious), initial);
-    let journal = dir.join("io.journal");
-    machine.set_journal(JournalWriter::for_machine(&journal, &machine).unwrap());
-    let stop = machine.run(&budget(100));
+    failpoint::configure("snapshot.rename=error@2").unwrap();
+    let mut machine = ChaseMachine::new(&program, cfg, initial.clone());
+    let (stop, err) = run_durable(&mut machine, &budget(100), 10, Some(&ckpt));
     failpoint::clear();
     assert_eq!(stop, StopReason::Io);
-    assert!(machine.journal_failed().is_some());
-    // The machine is still consistent: it can snapshot and resume.
-    let text = state_text(&machine);
-    Checkpoint::from_text(&text).unwrap().resume(&program).unwrap();
+    let err = err.expect("an Io stop names its error");
+    assert!(err.contains("snapshot.rename") && err.contains("io.ckpt"), "{err}");
+    assert_eq!(machine.stats().applications, 20, "stopped at the failed leg's boundary");
+
+    // The machine is still consistent: it snapshots, resumes, and runs on
+    // exactly like an uninterrupted run.
+    let mut resumed = Checkpoint::from_text(&state_text(&machine)).unwrap().resume(&program).unwrap();
+    resumed.run(&budget(100));
+    let mut straight = ChaseMachine::new(&program, cfg, initial.clone());
+    straight.run(&budget(100));
+    assert_eq!(state_text(&resumed), state_text(&straight));
+
+    // The snapshot published after leg 1 is untouched.
+    let mut leg1 = ChaseMachine::new(&program, cfg, initial);
+    leg1.run(&budget(10));
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), state_text(&leg1));
 }
 
-/// `needs_recovery` draws the line exactly where work would be lost.
+/// The job spec the corruption and torn-tmp tests resume through: the
+/// server's runner over Example 1, oblivious, 30 applications.
+fn example1_job(every: u64) -> JobSpec {
+    JobSpec {
+        variant: ChaseVariant::Oblivious,
+        steps: 30,
+        checkpoint_every: every,
+        ..JobSpec::server_default()
+    }
+}
+
+/// The name is kept from the journal's tail scanner, which this replaces:
+/// where the journal refused to lose an unreplayed tail, snapshot-only
+/// recovery must ignore the torn `<ckpt>.tmp` a failed publication leaves
+/// behind — whether a published snapshot sits beside it or none does.
 #[test]
 fn needs_recovery_spots_unreplayed_tails() {
     let _g = failpoint_guard();
     failpoint::clear();
-    let dir = scratch("needs-recovery");
-    let journal = dir.join("n.journal");
-    let mut program =
+    let program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
-    let initial = seed(&mut program);
-    let cfg = ChaseConfig::of(ChaseVariant::SemiOblivious);
+    let want = run_job(&program, &example1_job(0), &scratch("tmp-reference"), CancelToken::new(), None)
+        .unwrap()
+        .checkpoint_text;
 
-    let mut machine = ChaseMachine::new(&program, cfg, initial.clone());
-    machine.set_journal(JournalWriter::for_machine(&journal, &machine).unwrap());
-    machine.run(&budget(10));
-    drop(machine.take_journal());
-    let bytes = std::fs::read(&journal).unwrap();
+    // A torn second publication: state.ckpt holds leg 1, state.ckpt.tmp
+    // the first 40 bytes of leg 2.
+    let dir = scratch("torn-tmp");
+    failpoint::configure("snapshot.write=short:40@2").unwrap();
+    let crashed = run_job(&program, &example1_job(10), &dir, CancelToken::new(), None).unwrap();
+    failpoint::clear();
+    assert_eq!(crashed.outcome, StopReason::Io);
+    assert!(crashed.io_error.unwrap().contains("snapshot.write"));
+    assert_eq!(std::fs::read(dir.join("state.ckpt.tmp")).unwrap().len(), 40);
 
-    // A fresh machine (0 applications) is behind the journal's 10 records.
-    let fresh = ChaseMachine::new(&program, cfg, initial.clone());
-    assert!(needs_recovery(&fresh, &bytes));
-    // A machine already at 10 applications is fully covered.
-    let mut caught_up = ChaseMachine::new(&program, cfg, initial.clone());
-    caught_up.run(&budget(10));
-    assert!(!needs_recovery(&caught_up, &bytes));
-    // Unscannable garbage also demands recovery (recover() explains why).
-    assert!(needs_recovery(&fresh, b"not a journal at all\n"));
-    // An absent/empty journal never does.
-    assert!(!needs_recovery(&fresh, b""));
+    let resumed = run_job(&program, &example1_job(10), &dir, CancelToken::new(), None).unwrap();
+    assert!(resumed.recovered, "the published snapshot is resumed");
+    assert_eq!(resumed.outcome, StopReason::Applications);
+    assert_eq!(resumed.checkpoint_text, want);
+
+    // Only a torn temporary file, no snapshot: start from genesis.
+    let dir = scratch("tmp-only");
+    std::fs::write(dir.join("state.ckpt.tmp"), "chasekit-checkpoint v1\ntorn").unwrap();
+    let fresh = run_job(&program, &example1_job(10), &dir, CancelToken::new(), None).unwrap();
+    assert!(!fresh.recovered, "a temporary file is never resumed");
+    assert_eq!(fresh.checkpoint_text, want);
 }
 
 // ---------------------------------------------------------------------------
 // Corruption tolerance: no bytes on disk may panic the recovery path.
 // ---------------------------------------------------------------------------
 
-/// Program, initial instance, reference states by application count, and
-/// the crash-scene snapshot + journal the corruption cases mutate.
-type CorruptionFixture = (Program, Instance, Vec<String>, String, Vec<u8>);
+/// Program, reference states by application count, the published snapshot
+/// the corruption cases resume, and a journal in the format earlier
+/// releases wrote beside it.
+type CorruptionFixture = (Program, Vec<String>, String, Vec<u8>);
 
 /// The corruption fixture, built once per process and cloned for each
-/// proptest case. Both corruption suites use it; rebuilding it per case in
-/// one shared scratch directory would let one suite delete the other's
-/// journal while libtest runs them in parallel.
+/// proptest case.
 fn corruption_fixture() -> CorruptionFixture {
     static FIXTURE: OnceLock<CorruptionFixture> = OnceLock::new();
     FIXTURE.get_or_init(build_corruption_fixture).clone()
 }
 
-/// Reference states for every application count, plus the crash-scene
-/// snapshot + journal. Holds the failpoint lock so no fault armed by a
-/// concurrent test lands in the fixture's journal.
+/// Reference states for every application count, the snapshot after 12
+/// applications, and a journal of records 1..=30 running past it, each
+/// record `r <applications> <atoms> <nulls> <crc32>` under a four-line
+/// header, as the write-ahead journal used to write them.
 fn build_corruption_fixture() -> CorruptionFixture {
-    let _g = failpoint_guard();
-    failpoint::clear();
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
     let cfg = ChaseConfig::of(ChaseVariant::Oblivious);
 
     // state_by_apps[k] = checkpoint text after exactly k applications.
-    let mut m = ChaseMachine::new(&program, cfg, initial.clone());
+    let mut m = ChaseMachine::new(&program, cfg, initial);
     let mut state_by_apps = vec![state_text(&m)];
+    let mut journal =
+        "chasekit-journal v1\nprogram 0000000000000000\nvariant oblivious\nbase 0\n".to_string();
     for _ in 0..30 {
         m.step().unwrap();
         state_by_apps.push(state_text(&m));
+        let payload = format!(
+            "r {} {} {}",
+            m.stats().applications,
+            m.instance().len(),
+            m.instance().null_count()
+        );
+        journal.push_str(&format!("{payload} {:08x}\n", crc32(payload.as_bytes())));
     }
-
-    // Snapshot at 12 applications, journal holding records 1..=30 (base 0:
-    // the stale-prefix crash window, so skipping is exercised too).
-    let dir = scratch("corruption-fixture");
-    let journal_path = dir.join("c.journal");
-    let mut w = ChaseMachine::new(&program, cfg, initial.clone());
-    w.set_journal(JournalWriter::for_machine(&journal_path, &w).unwrap());
-    w.run(&budget(30));
-    drop(w.take_journal());
-    let journal = std::fs::read(&journal_path).unwrap();
     let snapshot = state_by_apps[12].clone();
-    (program, initial, state_by_apps, snapshot, journal)
+    (program, state_by_apps, snapshot, journal.into_bytes())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Flip and truncate arbitrary bytes of the journal: recovery must
-    /// either return a structured error or land on a *valid prefix state*
-    /// — byte-identical to some uninterrupted run of that length. Never a
-    /// panic, never a silently wrong state.
+    /// The name is kept from the journal's corruption proptest. Flip and
+    /// truncate arbitrary bytes of an old-format journal and leave them
+    /// both as `state.journal` and as a torn `state.ckpt.tmp` beside the
+    /// published snapshot: the resumed job must still land exactly on the
+    /// uninterrupted run's state. Leftover files never panic and never lie.
     #[test]
     fn corrupted_journals_never_panic_and_never_lie(
         flips in proptest::collection::vec((0usize..4096, 1u8..255), 0..4),
         cut in prop_oneof![Just(None::<usize>), (0usize..4096).prop_map(Some)],
     ) {
-        let (program, initial, state_by_apps, snapshot, mut journal) = corruption_fixture();
+        let (program, state_by_apps, snapshot, mut junk) = corruption_fixture();
         for (pos, mask) in flips {
-            let idx = pos % journal.len().max(1);
-            if let Some(b) = journal.get_mut(idx) {
+            let idx = pos % junk.len().max(1);
+            if let Some(b) = junk.get_mut(idx) {
                 *b ^= mask;
             }
         }
         if let Some(c) = cut {
-            journal.truncate(c % (journal.len() + 1));
+            junk.truncate(c % (junk.len() + 1));
         }
-        match recover(
-            &program,
-            Some(&snapshot),
-            &journal,
-            initial.clone(),
-            ChaseConfig::of(ChaseVariant::Oblivious),
-        ) {
-            Err(e) => {
-                // Structured, displayable, and specifically not a panic.
-                let shown = format!("{e}");
-                prop_assert!(!shown.is_empty());
-            }
-            Ok((m, report)) => {
-                let apps = m.stats().applications as usize;
-                prop_assert!(apps >= 12, "cannot land before the snapshot");
-                prop_assert!(apps < state_by_apps.len());
-                prop_assert_eq!(&state_text(&m), &state_by_apps[apps]);
-                prop_assert_eq!(
-                    report.final_applications,
-                    apps as u64
-                );
-            }
-        }
+        let _g = failpoint_guard();
+        failpoint::clear();
+        let dir = scratch("leftovers");
+        std::fs::write(dir.join("state.ckpt"), &snapshot).unwrap();
+        std::fs::write(dir.join("state.ckpt.tmp"), &junk).unwrap();
+        std::fs::write(dir.join("state.journal"), &junk).unwrap();
+        let report = run_job(&program, &example1_job(0), &dir, CancelToken::new(), None).unwrap();
+        prop_assert!(report.recovered);
+        prop_assert_eq!(report.applications, 30);
+        prop_assert_eq!(&report.checkpoint_text, &state_by_apps[30]);
     }
 
     /// Flip and truncate arbitrary bytes of the snapshot: `from_text` (and
@@ -529,7 +493,7 @@ proptest! {
         mask in 1u8..255,
         cut in prop_oneof![Just(None::<usize>), (0usize..8192).prop_map(Some)],
     ) {
-        let (program, initial, state_by_apps, snapshot, journal) = corruption_fixture();
+        let (program, state_by_apps, snapshot, _) = corruption_fixture();
         let mut bytes = snapshot.clone().into_bytes();
         let changed_len = cut.map(|c| c % (bytes.len() + 1));
         if let Some(c) = changed_len {
@@ -544,22 +508,16 @@ proptest! {
         }
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
         let unchanged = mutated == snapshot;
-        match recover(
-            &program,
-            Some(&mutated),
-            &journal,
-            initial.clone(),
-            ChaseConfig::of(ChaseVariant::Oblivious),
-        ) {
+        match Checkpoint::from_text(&mutated).and_then(|c| c.resume(&program)) {
             Err(e) => {
                 let shown = format!("{e}");
                 prop_assert!(!shown.is_empty());
             }
-            Ok((m, _)) => {
+            Ok(m) => {
                 // Only a mutation that left the file semantically intact
                 // (e.g. truncation after `end` removing just the trailer,
-                // with no effective flip) may recover — and then it must
-                // recover the *correct* prefix state.
+                // with no effective flip) may resume — and then it must
+                // resume the *correct* state.
                 let apps = m.stats().applications as usize;
                 prop_assert!(apps < state_by_apps.len());
                 prop_assert_eq!(&state_text(&m), &state_by_apps[apps]);
@@ -576,38 +534,47 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Real-process kill: SIGKILL a spawned chasekit mid-run, then recover.
+// Real-process kill: SIGKILL a spawned chasekit mid-run, then rerun.
 // ---------------------------------------------------------------------------
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_chasekit")
 }
 
+/// Runs `chasekit chase <rules> --steps <steps> --checkpoint <ckpt>` plus
+/// `extra` flags, optionally armed with a failpoint spec.
+fn chase_cli(
+    rules: &Path,
+    steps: &str,
+    ckpt: &Path,
+    extra: &[&str],
+    failpoints: Option<&str>,
+) -> std::process::Output {
+    let mut cmd = std::process::Command::new(bin());
+    cmd.args(["chase", rules.to_str().unwrap(), "--steps", steps])
+        .args(["--checkpoint", ckpt.to_str().unwrap()])
+        .args(extra);
+    match failpoints {
+        Some(spec) => cmd.env(failpoint::ENV_VAR, spec),
+        None => cmd.env_remove(failpoint::ENV_VAR),
+    };
+    cmd.output().unwrap()
+}
+
 /// SIGKILL the real binary mid-chase (no failpoints: a genuine
-/// out-of-nowhere kill), then `--recover` and continue; the final
-/// checkpoint must be bit-identical to an uninterrupted run of the same
-/// length.
+/// out-of-nowhere kill), then rerun the same command — there is no
+/// recovery step — and continue; the final checkpoint must be
+/// bit-identical to an uninterrupted run of the same length.
 #[test]
 fn sigkill_mid_run_recovers_and_continues_bit_identical() {
     let dir = scratch("sigkill");
     let rules = dir.join("ex1.rules");
     std::fs::write(&rules, "person(bob). person(X) -> hasFather(X, Y), person(Y).\n").unwrap();
     let ckpt = dir.join("k.ckpt");
-    let journal = dir.join("k.journal");
 
     let mut child = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "100000000",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-            "--checkpoint-every",
-            "500",
-        ])
+        .args(["chase", rules.to_str().unwrap(), "--steps", "100000000"])
+        .args(["--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "500"])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -616,58 +583,25 @@ fn sigkill_mid_run_recovers_and_continues_bit_identical() {
     child.kill().unwrap(); // SIGKILL on unix
     child.wait().unwrap();
 
-    // Recover; exit code 3 marks a successful recovery.
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-            "--recover",
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(3), "recover exit code; stdout: {stdout}");
-    let recovered_apps: u64 = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("recovered state: "))
-        .and_then(|l| l.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .expect("recovery report states the application count");
-
-    // Continue past the kill point, then compare against an uninterrupted
-    // run of exactly the same total length.
-    let total = (recovered_apps + 77).to_string();
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            &total,
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    // How far the published snapshot got (0 if the kill beat the first
+    // publication); the rerun continues 77 applications past it.
+    let published = match std::fs::read_to_string(&ckpt) {
+        Ok(text) => Checkpoint::from_text(&text).unwrap().stats().applications,
+        Err(_) => 0,
+    };
+    let total = (published + 77).to_string();
+    let out = chase_cli(&rules, &total, &ckpt, &["--checkpoint-every", "500"], None);
     assert_eq!(out.status.code(), Some(10), "continuation hits the application budget");
+    if published > 0 {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("(resuming from checkpoint: {published} applications")),
+            "{stdout}"
+        );
+    }
 
     let reference_ckpt = dir.join("ref.ckpt");
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            &total,
-            "--checkpoint",
-            reference_ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    let out = chase_cli(&rules, &total, &reference_ckpt, &[], None);
     assert_eq!(out.status.code(), Some(10));
 
     let recovered = std::fs::read_to_string(&ckpt).unwrap();
@@ -676,100 +610,33 @@ fn sigkill_mid_run_recovers_and_continues_bit_identical() {
 }
 
 /// Deterministic simulated kill in the real binary, at the nastiest spot:
-/// between the last journal append and the snapshot rename. The interrupted
-/// run must refuse to restart without `--recover`, and the recover → continue
-/// relay must be bit-identical to one uninterrupted invocation.
+/// the second snapshot is staged in `<ckpt>.tmp` but never renamed over
+/// the first. Rerunning the same command resumes the first snapshot,
+/// ignores the staged one, and lands bit-identical to one uninterrupted
+/// invocation.
 #[test]
 fn injected_kill_between_append_and_rename_relays_bit_identical() {
     let dir = scratch("injected-kill");
     let rules = dir.join("ex1.rules");
     std::fs::write(&rules, "person(bob). person(X) -> hasFather(X, Y), person(Y).\n").unwrap();
     let ckpt = dir.join("i.ckpt");
-    let journal = dir.join("i.journal");
+    let tmp = dir.join("i.ckpt.tmp");
+    let every = ["--checkpoint-every", "40"];
 
-    // Kill exactly at the first periodic snapshot's rename.
-    let out = std::process::Command::new(bin())
-        .env(failpoint::ENV_VAR, "snapshot.rename=exit:9@1")
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "90",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-            "--checkpoint-every",
-            "40",
-        ])
-        .output()
-        .unwrap();
+    // Kill exactly at the second periodic snapshot's rename.
+    let out = chase_cli(&rules, "90", &ckpt, &every, Some("snapshot.rename=exit:9@2"));
     assert_eq!(out.status.code(), Some(9), "the injected kill fires");
-    assert!(!ckpt.exists(), "the rename never happened");
+    assert!(ckpt.exists() && tmp.exists(), "leg 1 published, leg 2 staged");
 
-    // Without --recover the binary must refuse, not truncate the journal.
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "90",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--recover"),
-        "refusal must point at --recover"
-    );
-
-    // Recover, continue, compare with one uninterrupted run.
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "90",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-            "--recover",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "90",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(10));
+    // The same command again: resume leg 1, run to the end.
+    let out = chase_cli(&rules, "90", &ckpt, &every, None);
+    assert_eq!(out.status.code(), Some(10), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(resuming from checkpoint: 40 applications"), "{stdout}");
+    assert!(!tmp.exists(), "a later publication replaces the staged file");
 
     let reference_ckpt = dir.join("ref.ckpt");
-    let out = std::process::Command::new(bin())
-        .args([
-            "chase",
-            rules.to_str().unwrap(),
-            "--steps",
-            "90",
-            "--checkpoint",
-            reference_ckpt.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    let out = chase_cli(&rules, "90", &reference_ckpt, &[], None);
     assert_eq!(out.status.code(), Some(10));
     assert_eq!(
         std::fs::read_to_string(&ckpt).unwrap(),

@@ -18,6 +18,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use chasekit::engine::serve::{run_job, JobSpec};
+use chasekit::engine::{crc32, CancelToken, ChaseConfig, ChaseMachine};
+use chasekit::prelude::*;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_chasekit")
 }
@@ -205,16 +209,20 @@ fn finish_and_compare(server: &Server, store: &Path, job: &str, steps: u64, want
 // ---------------------------------------------------------------------------
 
 /// Injected-kill plans covering every server-side crash window: the admit
-/// window (job durable, client un-acked), the journal and snapshot sites
-/// inside the job's durable loop (hits 2+ where hit 1 is the admission
-/// `meta` write, which shares the atomic-publication code path), and the
-/// result window (final checkpoint written, result marker not).
+/// window (job durable, client un-acked), the snapshot sites inside the
+/// job's durable loop, and the result window (final checkpoint written,
+/// result marker not). Hit 1 of the snapshot sites is the admission `meta`
+/// write, which shares the atomic-publication code path (its own kill is
+/// `kill_before_admission_marker_discards_the_directory`); hits 2–4 are the
+/// job's first three leg publications, so kills land with no working
+/// snapshot yet and with one, two or three legs published.
 const KILL_PLANS: &[&str] = &[
     "serve.admit=exit:9",
-    "journal.append=exit:9@40",
-    "journal.sync=exit:9@1",
     "snapshot.write=exit:9@2",
+    "snapshot.write=exit:9@3",
+    "snapshot.write=exit:9@4",
     "snapshot.rename=exit:9@2",
+    "snapshot.rename=exit:9@3",
     "serve.result=exit:9",
 ];
 
@@ -252,14 +260,12 @@ fn kill_at_every_server_failpoint_recovers_bit_identical() {
     }
 }
 
-/// The double-kill window: the first kill lands mid-leg, so the journal
-/// holds records past the last published snapshot. Recovery replays them
-/// and re-bases the journal at the recovered application count — and the
-/// second kill lands right after that re-base, *before* the next leg
-/// publish. If recovery re-based without first republishing the recovered
-/// snapshot, the disk would now say snapshot(N) + journal(base M > N),
-/// which `recover()` rejects as inconsistent: the job would fail on every
-/// restart forever. The third start proves the window is consistent.
+/// The name is kept from the journal, whose re-base after recovery this
+/// test guarded. The double-kill window is now: the first kill lands
+/// mid-job with one leg published, and the second lands on the very first
+/// publication after the restart, leaving a torn `state.ckpt.tmp` beside
+/// the same working snapshot. The third start must still resume it and
+/// finish bit-identical.
 #[test]
 fn kill_again_right_after_recovery_rebase_still_recovers() {
     const STEPS: u64 = 120;
@@ -267,29 +273,114 @@ fn kill_again_right_after_recovery_rebase_still_recovers() {
     let want = solo_reference(&dir, STEPS);
     let store = dir.join("store");
 
-    // Kill 1: append 40 with --checkpoint-every 25 is mid-leg 2, so the
-    // journal is strictly ahead of the published snapshot (25 apps).
-    let mut server = Server::spawn(&store, Some("journal.append=exit:9@40"));
+    // Kill 1: with --checkpoint-every 25, hit 3 is the job's second leg
+    // publication (hit 1 is the admission `meta`): the working snapshot
+    // holds 25 applications. The job is admitted before the kill, but the
+    // kill can beat the acknowledgement to the client; the first job of a
+    // fresh store is `job-0` either way.
+    let mut server = Server::spawn(&store, Some("snapshot.write=exit:9@3"));
     let mut c = server.connect();
-    let job = submit(&mut c, STEPS).expect("the submission is acknowledged before the kill");
-    let _ = c.send(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
-    let _ = c.read_line();
+    let job = "job-0".to_string();
+    if let Some(acked) = submit(&mut c, STEPS) {
+        assert_eq!(acked, job);
+        let _ = c.send(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
+        let _ = c.read_line();
+    }
     assert_eq!(server.wait_for_death(Duration::from_secs(30)), 9);
     drop(server);
+    assert!(store.join(&job).join("state.ckpt").exists(), "kill 1 left leg 1 published");
 
-    // Kill 2: the restarted server recovers the job and dies on the very
-    // first journal append — after the recovery re-base, before any leg
-    // publish.
-    let mut server = Server::spawn(&store, Some("journal.append=exit:9@1"));
-    assert_eq!(server.read_recovered(), job);
-    assert_eq!(server.wait_for_death(Duration::from_secs(30)), 9);
-    drop(server);
+    // Kill 2: the restarted server resumes the job and dies on its first
+    // publication, before any new leg lands. That can happen before the
+    // startup banners are printed, so only the exit code is checked.
+    let mut child = Command::new(bin())
+        .args(["serve", "--store", store.to_str().unwrap(), "--checkpoint-every", "25"])
+        .env("CHASEKIT_FAILPOINTS", "snapshot.write=exit:9@1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(30) {
+            let _ = child.kill();
+            panic!("server outlived the injected kill");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(9));
+    assert!(store.join(&job).join("state.ckpt.tmp").exists(), "kill 2 left a torn tmp");
 
     // Third start: the twice-killed job still recovers, completes, and is
     // bit-identical to the uninterrupted solo run.
     let mut server = Server::spawn(&store, None);
     assert_eq!(server.read_recovered(), job);
     finish_and_compare(&server, &store, &job, STEPS, &want);
+    server.shutdown();
+}
+
+/// A job directory left by an older server, whose durable loop also kept
+/// a write-ahead journal: `meta` carries a `flush-every` line and
+/// `state.journal` runs past `state.ckpt`. Restarting on it resumes the
+/// snapshot, ignores the journal, and completes the job bit-identical to
+/// a solo `run_job`.
+#[test]
+fn older_job_directory_with_a_journal_restarts_bit_identical() {
+    const STEPS: u64 = 120;
+    let dir = scratch("older-format");
+    std::fs::create_dir_all(dir.join("solo")).unwrap();
+    let program = Program::parse(DIVERGING).unwrap();
+    let want = run_job(
+        &program,
+        &JobSpec { steps: STEPS, checkpoint_every: 25, ..JobSpec::server_default() },
+        &dir.join("solo"),
+        CancelToken::new(),
+        None,
+    )
+    .unwrap()
+    .checkpoint_text;
+
+    // The job as the older server left it: snapshot at 25 applications,
+    // journal records 1..=40.
+    let job_dir = dir.join("store").join("job-0");
+    std::fs::create_dir_all(&job_dir).unwrap();
+    std::fs::write(job_dir.join("program.rules"), DIVERGING).unwrap();
+    std::fs::write(
+        job_dir.join("meta"),
+        "chasekit-job v1\nvariant semi-oblivious\nsteps 120\ntimeout-ms none\n\
+         max-atoms none\nmax-memory none\ncheckpoint-every 25\nflush-every 1\n",
+    )
+    .unwrap();
+    let mut m = ChaseMachine::new(
+        &program,
+        ChaseConfig::of(ChaseVariant::SemiOblivious),
+        Instance::from_atoms(program.facts().iter().cloned()),
+    );
+    let mut journal =
+        "chasekit-journal v1\nprogram 0000000000000000\nvariant semi-oblivious\nbase 0\n"
+            .to_string();
+    for _ in 0..40 {
+        m.step().unwrap();
+        if m.stats().applications == 25 {
+            std::fs::write(job_dir.join("state.ckpt"), m.snapshot().to_text().unwrap()).unwrap();
+        }
+        let payload = format!(
+            "r {} {} {}",
+            m.stats().applications,
+            m.instance().len(),
+            m.instance().null_count()
+        );
+        journal.push_str(&format!("{payload} {:08x}\n", crc32(payload.as_bytes())));
+    }
+    std::fs::write(job_dir.join("state.journal"), journal).unwrap();
+
+    let store = dir.join("store");
+    let mut server = Server::spawn(&store, None);
+    assert_eq!(server.read_recovered(), "job-0");
+    finish_and_compare(&server, &store, "job-0", STEPS, &want);
     server.shutdown();
 }
 
