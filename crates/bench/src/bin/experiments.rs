@@ -3,11 +3,12 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [all|e0|e1|e2|e3|e4|e5|e6|e7] [--quick] [--csv <dir>]
+//! experiments [all|e0|e1|e2|e3|e4|e5|e6|e7|e9]... [--quick] [--csv <dir>]
 //! ```
 //!
 //! `--quick` shrinks the populations ~10x for smoke runs; `--csv <dir>`
-//! additionally writes one CSV file per table.
+//! additionally writes one CSV file per table. The driver exits 1 if any
+//! check fails or any CSV file cannot be written.
 
 use std::io::Write as _;
 
@@ -72,6 +73,7 @@ fn emit(tables: &[Table], opts: &Options, failures: &mut Vec<String>, checks: &[
                 .and_then(|_| std::fs::File::create(&path)?.write_all(t.to_csv().as_bytes()))
             {
                 eprintln!("failed to write {path}: {e}");
+                failures.push(format!("could not write {path}"));
             }
         }
     }

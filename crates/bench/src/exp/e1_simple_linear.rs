@@ -68,33 +68,25 @@ pub fn run(params: &Params) -> (Table, Outcome) {
     let mut cfg = params.cfg;
     cfg.constants = 0;
 
-    let samples = crate::parallel::par_map_seeds(
-        params.samples,
-        crate::parallel::default_threads(),
-        |seed| {
-            let program = random_simple_linear(&cfg, seed);
-            Sample {
-                wa: is_weakly_acyclic(&program),
-                ra: is_richly_acyclic(&program),
-                exact_so: decide_linear(&program, ChaseVariant::SemiOblivious, false)
-                    .expect("generated sets are linear")
-                    .terminates,
-                exact_o: decide_linear(&program, ChaseVariant::Oblivious, false)
-                    .expect("generated sets are linear")
-                    .terminates,
-                truth_so: critical_chase_truth(
-                    &program,
-                    ChaseVariant::SemiOblivious,
-                    &params.truth_budget,
-                ),
-                truth_o: critical_chase_truth(
-                    &program,
-                    ChaseVariant::Oblivious,
-                    &params.truth_budget,
-                ),
-            }
-        },
-    );
+    let samples = crate::parallel::par_map_seeds(params.samples, |seed| {
+        let program = random_simple_linear(&cfg, seed);
+        Sample {
+            wa: is_weakly_acyclic(&program),
+            ra: is_richly_acyclic(&program),
+            exact_so: decide_linear(&program, ChaseVariant::SemiOblivious, false)
+                .expect("generated sets are linear")
+                .terminates,
+            exact_o: decide_linear(&program, ChaseVariant::Oblivious, false)
+                .expect("generated sets are linear")
+                .terminates,
+            truth_so: critical_chase_truth(
+                &program,
+                ChaseVariant::SemiOblivious,
+                &params.truth_budget,
+            ),
+            truth_o: critical_chase_truth(&program, ChaseVariant::Oblivious, &params.truth_budget),
+        }
+    });
 
     let mut outcome = Outcome::default();
     let mut so_terminating = 0u64;

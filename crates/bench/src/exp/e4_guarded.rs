@@ -60,19 +60,15 @@ pub fn run(params: &Params) -> Result<(Vec<Table>, Outcome), GuardedError> {
         &["variant", "samples", "terminates", "diverges", "unknown", "contradictions", "median time (us)"],
     );
     for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Oblivious] {
-        let records = crate::parallel::par_map_seeds(
-            params.samples,
-            crate::parallel::default_threads(),
-            |seed| {
-                let program = random_guarded(&params.cfg, seed);
-                let mut cfg = GuardedConfig::new(variant);
-                cfg.max_applications = params.fuel.max_applications;
-                cfg.max_atoms = params.fuel.max_atoms;
-                let (report, us) = timed(|| decide_guarded(&program, cfg));
-                let truth = critical_chase_truth(&program, variant, &params.truth_budget);
-                report.map(|r| (r.verdict, truth, us))
-            },
-        );
+        let records = crate::parallel::par_map_seeds(params.samples, |seed| {
+            let program = random_guarded(&params.cfg, seed);
+            let mut cfg = GuardedConfig::new(variant);
+            cfg.max_applications = params.fuel.max_applications;
+            cfg.max_atoms = params.fuel.max_atoms;
+            let (report, us) = timed(|| decide_guarded(&program, cfg));
+            let truth = critical_chase_truth(&program, variant, &params.truth_budget);
+            report.map(|r| (r.verdict, truth, us))
+        });
 
         let mut terminates = 0u64;
         let mut diverges = 0u64;

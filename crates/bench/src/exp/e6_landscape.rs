@@ -62,26 +62,22 @@ pub fn run(params: &Params) -> (Vec<Table>, Outcome) {
     let mut wa_not_agrd = 0u64;
     let mut mfa_unknown = 0u64;
 
-    let records = crate::parallel::par_map_seeds(
-        params.samples,
-        crate::parallel::default_threads(),
-        |seed| {
-            let program = random_linear(&params.cfg, 7_000_000 + seed);
-            (
-                is_richly_acyclic(&program),
-                is_weakly_acyclic(&program),
-                is_jointly_acyclic(&program),
-                mfa_status(&program, &params.mfa_budget),
-                is_grd_acyclic(&program),
-                decide_linear(&program, ChaseVariant::SemiOblivious, false)
-                    .expect("generated sets are linear")
-                    .terminates,
-                decide_linear(&program, ChaseVariant::Oblivious, false)
-                    .expect("generated sets are linear")
-                    .terminates,
-            )
-        },
-    );
+    let records = crate::parallel::par_map_seeds(params.samples, |seed| {
+        let program = random_linear(&params.cfg, 7_000_000 + seed);
+        (
+            is_richly_acyclic(&program),
+            is_weakly_acyclic(&program),
+            is_jointly_acyclic(&program),
+            mfa_status(&program, &params.mfa_budget),
+            is_grd_acyclic(&program),
+            decide_linear(&program, ChaseVariant::SemiOblivious, false)
+                .expect("generated sets are linear")
+                .terminates,
+            decide_linear(&program, ChaseVariant::Oblivious, false)
+                .expect("generated sets are linear")
+                .terminates,
+        )
+    });
 
     for (seed, (ra, wa, ja, mfa_raw, agrd, exact_so, exact_o)) in records.into_iter().enumerate() {
         let mfa = match mfa_raw {

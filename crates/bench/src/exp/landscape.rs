@@ -121,8 +121,8 @@ impl Default for Params {
 }
 
 impl Params {
-    /// The `CHASEKIT_BENCH_QUICK` smoke configuration: still ≥ 1000
-    /// programs across the three families, smaller budgets.
+    /// The `--quick` smoke configuration: still ≥ 1000 programs across
+    /// the three families, smaller budgets.
     pub fn quick() -> Params {
         Params {
             sizes: vec![2, 4, 6],
@@ -442,11 +442,9 @@ pub fn run(params: &Params) -> LandscapeResult {
             let base = 1_000_003u64
                 .wrapping_mul(size as u64)
                 .wrapping_add(7_000_019u64.wrapping_mul(fi as u64));
-            let evals = crate::parallel::par_map_seeds(
-                params.seeds_per_size,
-                crate::parallel::default_threads(),
-                |seed| evaluate(&gen(size, base.wrapping_add(seed)), params),
-            );
+            let evals = crate::parallel::par_map_seeds(params.seeds_per_size, |seed| {
+                evaluate(&gen(size, base.wrapping_add(seed)), params)
+            });
 
             let mut aggs = vec![CheckerAgg::default(); CHECKERS.len()];
             let mut cell_census = [0u64; 6];

@@ -1,142 +1,52 @@
-//! A seed-parallel map for the experiment populations, hardened against
-//! worker faults.
+//! A seed-parallel map for the experiment populations.
 //!
 //! Experiments evaluate thousands of independent seeded samples; this
 //! spreads them over worker threads (std scoped threads + an atomic work
-//! counter) while keeping results in seed order, so all tables and
-//! counters stay exactly reproducible regardless of thread count.
-//!
-//! Two layers:
-//!
-//! * [`par_try_map_seeds`] — the fault-tolerant core. Each seed runs under
-//!   `catch_unwind` with one retry; a panicking seed yields a
-//!   [`SeedFailure`] in its slot instead of aborting the population.
-//!   Results flow back over a channel tagged with their seed, so there is
-//!   no shared results vector to contend on or poison.
-//! * [`par_map_seeds`] — the strict wrapper: panics (with the offending
-//!   seed in the message) if any seed failed twice.
+//! cursor) while keeping results in seed order, so all tables and
+//! counters stay exactly reproducible regardless of how many cores run
+//! them.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-
-/// A seed whose worker panicked on every attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedFailure {
-    /// The seed that failed.
-    pub seed: u64,
-    /// How many times it was attempted (currently always 2).
-    pub attempts: u32,
-    /// The panic payload, if it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for SeedFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed {} panicked on all {} attempts: {}",
-            self.seed, self.attempts, self.message
-        )
-    }
-}
-
-impl std::error::Error for SeedFailure {}
-
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs `f(seed)` under `catch_unwind`, retrying once on panic.
-///
-/// The retry matters in practice: transient faults (a fallible allocator,
-/// an injected fault, a glitchy IO-backed workload) should not cost the
-/// population a sample. Deterministic panics fail both attempts and
-/// surface as [`SeedFailure`].
-fn attempt<T>(f: &(impl Fn(u64) -> T + Sync), seed: u64) -> Result<T, SeedFailure> {
-    match catch_unwind(AssertUnwindSafe(|| f(seed))) {
-        Ok(v) => Ok(v),
-        Err(_first) => match catch_unwind(AssertUnwindSafe(|| f(seed))) {
-            Ok(v) => Ok(v),
-            Err(second) => Err(SeedFailure {
-                seed,
-                attempts: 2,
-                message: payload_message(second.as_ref()),
-            }),
-        },
-    }
-}
-
-/// Applies `f` to every seed in `0..count`, in parallel, returning one
-/// `Result` per seed in seed order. A seed whose worker panics twice
-/// yields `Err(SeedFailure)`; all other seeds are unaffected.
-/// `threads = 1` degenerates to a plain loop.
-pub fn par_try_map_seeds<T, F>(count: u64, threads: usize, f: F) -> Vec<Result<T, SeedFailure>>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(|seed| attempt(&f, seed)).collect();
-    }
-
-    let next = AtomicU64::new(0);
-    let (tx, rx) = mpsc::channel::<(u64, Result<T, SeedFailure>)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(count as usize) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let seed = next.fetch_add(1, Ordering::Relaxed);
-                if seed >= count {
-                    break;
-                }
-                // `attempt` never unwinds, so a worker always finishes its
-                // loop and the scope join cannot itself panic.
-                if tx.send((seed, attempt(f, seed))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<Result<T, SeedFailure>>> = (0..count).map(|_| None).collect();
-    for (seed, result) in rx {
-        slots[seed as usize] = Some(result);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(seed, slot)| slot.unwrap_or_else(|| panic!("seed {seed} was never processed")))
-        .collect()
-}
 
 /// Applies `f` to every seed in `0..count`, in parallel, returning results
-/// in seed order. Panics — naming the seed — if any seed fails twice; use
-/// [`par_try_map_seeds`] when the population should survive bad seeds.
-pub fn par_map_seeds<T, F>(count: u64, threads: usize, f: F) -> Vec<T>
+/// in seed order. The workers are the available parallelism, capped at 16.
+/// A panic in `f` is re-raised once the other workers finish, so a bad
+/// seed fails the whole run.
+pub fn par_map_seeds<T, F>(count: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    par_try_map_seeds(count, threads, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|failure| panic!("par_map_seeds: {failure}")))
-        .collect()
-}
-
-/// A sensible default worker count: the available parallelism, capped.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(16);
+    let next = AtomicU64::new(0);
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(count as usize))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let seed = next.fetch_add(1, Ordering::Relaxed);
+                        if seed >= count {
+                            return done;
+                        }
+                        done.push((seed, f(seed)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (seed, v) in done {
+                        slots[seed as usize] = Some(v);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots.into_iter().map(|v| v.expect("every seed is claimed by one worker")).collect()
 }
 
 #[cfg(test)]
@@ -145,7 +55,7 @@ mod tests {
 
     #[test]
     fn results_are_in_seed_order() {
-        let out = par_map_seeds(100, 4, |seed| seed * 3);
+        let out = par_map_seeds(100, |seed| seed * 3);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 3);
@@ -153,70 +63,15 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_matches_parallel() {
-        let seq = par_map_seeds(37, 1, |s| s * s % 17);
-        let par = par_map_seeds(37, 8, |s| s * s % 17);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        for threads in [1, 2, 3, 8, 32] {
-            let out = par_try_map_seeds(53, threads, |s| s.wrapping_mul(0x9e37_79b9) >> 7);
-            let reference: Vec<_> = (0..53).map(|s: u64| Ok(s.wrapping_mul(0x9e37_79b9) >> 7)).collect();
-            assert_eq!(out, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn zero_and_one_seed_edge_cases() {
-        assert!(par_map_seeds(0, 4, |s| s).is_empty());
-        assert_eq!(par_map_seeds(1, 4, |s| s), vec![0]);
+        assert!(par_map_seeds(0, |s| s).is_empty());
+        assert_eq!(par_map_seeds(1, |s| s), vec![0]);
     }
 
     #[test]
-    fn panicking_seed_degrades_to_a_failure_slot() {
-        let out = par_try_map_seeds(20, 4, |seed| {
-            if seed == 7 || seed == 13 {
-                panic!("injected failure for seed {seed}");
-            }
-            seed + 1
-        });
-        for (seed, slot) in out.iter().enumerate() {
-            match slot {
-                Ok(v) => {
-                    assert_ne!(seed, 7);
-                    assert_ne!(seed, 13);
-                    assert_eq!(*v, seed as u64 + 1);
-                }
-                Err(failure) => {
-                    assert!(seed == 7 || seed == 13);
-                    assert_eq!(failure.seed, seed as u64);
-                    assert_eq!(failure.attempts, 2);
-                    assert!(failure.message.contains("injected failure"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transient_panics_are_retried_successfully() {
-        use std::sync::Mutex;
-        // First attempt for each odd seed panics; the retry succeeds.
-        let fired: Mutex<std::collections::HashSet<u64>> = Mutex::new(Default::default());
-        let out = par_try_map_seeds(16, 4, |seed| {
-            if seed % 2 == 1 && fired.lock().unwrap().insert(seed) {
-                panic!("transient glitch");
-            }
-            seed
-        });
-        assert!(out.iter().all(|r| r.is_ok()), "{out:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "seed 3")]
-    fn strict_wrapper_names_the_failing_seed() {
-        let _ = par_map_seeds(8, 2, |seed| {
+    #[should_panic(expected = "boom")]
+    fn panicking_seed_fails_the_run() {
+        let _ = par_map_seeds(8, |seed| {
             if seed == 3 {
                 panic!("boom");
             }
@@ -230,7 +85,7 @@ mod tests {
         use chasekit_engine::ChaseVariant;
         use chasekit_termination::decide_linear;
         let cfg = RandomConfig::default();
-        let results = par_map_seeds(40, 4, |seed| {
+        let results = par_map_seeds(40, |seed| {
             let p = random_simple_linear(&cfg, seed);
             decide_linear(&p, ChaseVariant::SemiOblivious, false).unwrap().terminates
         });

@@ -42,11 +42,6 @@ pub struct ChaseConfig {
     /// whose Skolem function symbol occurs in its own ancestry). Used by
     /// model-faithful acyclicity (MFA).
     pub track_skolem: bool,
-    /// Ablation switch: disable delta-driven trigger discovery and re-match
-    /// every rule body from scratch after each application. Semantically
-    /// identical (the identity set deduplicates), asymptotically worse; kept
-    /// to measure what incremental matching buys (see `benches/ablation.rs`).
-    pub naive_matching: bool,
     /// Trigger scheduling policy. Irrelevant for the oblivious and
     /// semi-oblivious chase (their termination is order-independent,
     /// CT∀ = CT∃), but the **restricted** chase is order-dependent:
@@ -72,7 +67,6 @@ impl ChaseConfig {
             variant,
             track_derivation: false,
             track_skolem: false,
-            naive_matching: false,
             scheduling: Scheduling::Fifo,
         }
     }
@@ -80,12 +74,6 @@ impl ChaseConfig {
     /// Switches to seeded random trigger scheduling.
     pub fn with_random_scheduling(mut self, seed: u64) -> Self {
         self.scheduling = Scheduling::Random(seed);
-        self
-    }
-
-    /// Ablation: switch to naive (non-incremental) trigger discovery.
-    pub fn with_naive_matching(mut self) -> Self {
-        self.naive_matching = true;
         self
     }
 
@@ -596,17 +584,9 @@ impl<'p> ChaseMachine<'p> {
         }
 
         // Discover triggers enabled by the new atoms.
-        if self.config.naive_matching {
-            if !new_atoms.is_empty() {
-                for rule_idx in 0..self.program.rules().len() {
-                    self.enqueue_matches(rule_idx, None);
-                }
-            }
-        } else {
-            for &id in &new_atoms {
-                for rule_idx in 0..self.program.rules().len() {
-                    self.enqueue_matches(rule_idx, Some(id));
-                }
+        for &id in &new_atoms {
+            for rule_idx in 0..self.program.rules().len() {
+                self.enqueue_matches(rule_idx, Some(id));
             }
         }
 

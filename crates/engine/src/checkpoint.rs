@@ -292,7 +292,8 @@ impl Checkpoint {
             ChaseVariant::Restricted => "restricted",
         };
         out.push_str(&format!("variant {variant}\n"));
-        out.push_str(&format!("naive-matching {}\n", self.config.naive_matching as u8));
+        // Retired ablation flag: always 0, kept so the format stays v1.
+        out.push_str("naive-matching 0\n");
         match self.config.scheduling {
             Scheduling::Fifo => out.push_str("scheduling fifo\n"),
             Scheduling::Random(seed) => out.push_str(&format!("scheduling random {seed}\n")),
@@ -400,16 +401,13 @@ impl Checkpoint {
             }
         };
 
-        let naive_matching = {
+        // Delta discovery is the only matching mode, so only `0` is valid.
+        {
             let (n, l) = next("naive-matching line")?;
-            let rest =
-                l.strip_prefix("naive-matching ").ok_or_else(|| bad(n, l, "naive-matching <0|1>"))?;
-            match rest.trim() {
-                "0" => false,
-                "1" => true,
-                _ => return Err(bad(n, l, "naive-matching <0|1>")),
+            if l.strip_prefix("naive-matching ").map(str::trim) != Some("0") {
+                return Err(bad(n, l, "naive-matching 0"));
             }
-        };
+        }
 
         let scheduling = {
             let (n, l) = next("scheduling line")?;
@@ -564,7 +562,6 @@ impl Checkpoint {
                 variant,
                 track_derivation: false,
                 track_skolem: false,
-                naive_matching,
                 scheduling,
             },
             program_fingerprint,
@@ -969,6 +966,12 @@ mod tests {
         let good = m.snapshot().to_text().unwrap();
         let truncated = &good[..good.len() / 2];
         assert!(matches!(Checkpoint::from_text(truncated), Err(CheckpointError::Parse(_))));
+        // Naive matching is gone; a snapshot claiming it is rejected at its line.
+        let naive = good.replacen("naive-matching 0\n", "naive-matching 1\n", 1);
+        match Checkpoint::from_text(&naive) {
+            Err(CheckpointError::Parse(msg)) => assert!(msg.starts_with("line 4:"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

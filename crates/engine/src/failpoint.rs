@@ -7,9 +7,7 @@
 //! (`process::exit`). Faults fire on an exact hit count, so a plan like
 //! `snapshot.write=error@7` is a pure function of the process's execution
 //! — the same run trips the same syscall every time, which is what makes
-//! the kill/recover differential suite reproducible. Seed-driven sweeps
-//! (the `bench::fault` idiom from the experiment pool) derive the hit
-//! index from a splitmix64 hash of the seed and install it here.
+//! the kill/recover differential suite reproducible.
 //!
 //! **Cost when disabled.** Every site calls [`fire`], whose fast path is a
 //! single relaxed atomic load of a process-wide armed flag; the registry

@@ -173,14 +173,8 @@ impl<'p> ChaseMachine<'p> {
             return Ok(false);
         }
         self.approx_bytes += approx_atom_bytes(fact.arity());
-        if self.config.naive_matching {
-            for rule_idx in 0..self.program.rules().len() {
-                self.enqueue_matches(rule_idx, None);
-            }
-        } else {
-            for rule_idx in 0..self.program.rules().len() {
-                self.enqueue_matches(rule_idx, Some(id));
-            }
+        for rule_idx in 0..self.program.rules().len() {
+            self.enqueue_matches(rule_idx, Some(id));
         }
         Ok(true)
     }

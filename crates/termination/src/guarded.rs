@@ -129,12 +129,6 @@ pub struct GuardedConfig {
     pub standard: bool,
     /// Cap on derivation-support size per certificate check.
     pub max_support: usize,
-    /// Ablation switch: disable the deferred re-check index (pairs whose
-    /// certificate fails only on a not-yet-derived side condition are
-    /// retried when the missing atom arrives). With this off, divergences
-    /// whose side conditions lag one round are never certified and end in
-    /// `Unknown` — see `benches/ablation.rs` for the measured impact.
-    pub defer_rechecks: bool,
 }
 
 impl GuardedConfig {
@@ -146,7 +140,6 @@ impl GuardedConfig {
             max_atoms: 500_000,
             standard: false,
             max_support: 10_000,
-            defer_rechecks: true,
         }
     }
 }
@@ -216,12 +209,7 @@ pub fn pumping_decide(program: &Program, config: GuardedConfig) -> Result<Guarde
         };
         for &new_atom in &event.new_atoms {
             // Re-check pairs that were waiting for exactly this atom.
-            let waiting = if config.defer_rechecks {
-                pending.remove(&machine.instance().atom(new_atom).to_atom())
-            } else {
-                None
-            };
-            if let Some(pairs) = waiting {
+            if let Some(pairs) = pending.remove(&machine.instance().atom(new_atom).to_atom()) {
                 for (b_id, a_id, dist) in pairs {
                     match certify_pair(&machine, a_id, b_id, &config) {
                         CertOutcome::Certified => {
@@ -577,6 +565,16 @@ mod tests {
     fn side_condition_derived_for_nulls_diverges() {
         // Same loop, but now p propagates to the fresh null.
         let src = "r(X, Y), p(Y) -> r(Y, Z), p(Z).";
+        assert_eq!(so(src), Some(false));
+        assert_eq!(ob(src), Some(false));
+    }
+
+    #[test]
+    fn side_condition_derived_one_round_later_diverges() {
+        // p(Z) comes from a second rule, one application after r(Y, Z), so
+        // the first check of each pumpable pair fails on the missing side
+        // condition; only the deferred re-check certifies the loop.
+        let src = "r(X, Y), p(Y) -> r(Y, Z). r(X, Y) -> p(Y).";
         assert_eq!(so(src), Some(false));
         assert_eq!(ob(src), Some(false));
     }

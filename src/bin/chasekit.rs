@@ -97,8 +97,7 @@ options:
                               (default 2; 0 = one per available core)
   --queue N                   (serve) admission cap: queued+running jobs
                               beyond it are rejected as overloaded (default 16)
-  --quick                     (bench landscape) smoke-scale run (also
-                              implied by CHASEKIT_BENCH_QUICK=1)
+  --quick                     (bench landscape) smoke-scale run
   --json FILE                 (bench landscape) JSON output path (default:
                               BENCH_checker_landscape.json at the repo root)
 exit codes (chase): 0 saturated, 10 applications, 11 atoms, 12 wall-clock,
@@ -397,8 +396,7 @@ fn run_bench(argv: &[String]) -> ExitCode {
         Some(other) => return arg_error(format!("unknown bench subcommand `{other}`")),
         None => return arg_error("`bench` needs a subcommand (landscape)".to_string()),
     }
-    let mut quick =
-        std::env::var("CHASEKIT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let mut quick = false;
     let mut json_path: Option<String> = None;
     let mut it = argv[1..].iter();
     while let Some(flag) = it.next() {
