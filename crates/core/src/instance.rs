@@ -8,17 +8,14 @@
 //!   zero-copy [`AtomRef`] view, so inserting or reading an atom never
 //!   clones an argument vector;
 //! * deduplication goes through an open-addressed hash-of-slice table
-//!   ([`DedupTable`]) that compares candidate argument slices in place —
+//!   (`DedupTable`) that compares candidate argument slices in place —
 //!   no owned `Atom` keys, no per-probe allocation;
 //! * `(predicate, position, term)` postings — the selective index the
 //!   homomorphism matcher uses for bound positions — are columnar: a
 //!   `Vec<PredIndex>` indexed directly by `PredId`, with one
 //!   `FxHashMap<Term, Vec<AtomId>>` per argument position, so the hot
 //!   lookup is an array index plus a single one-word hash probe instead
-//!   of hashing a 3-tuple;
-//! * per-null postings — what the guarded termination procedure uses to
-//!   assemble "clouds" (all atoms over a given term set) — stay a map
-//!   because null ids are sparse relative to atoms.
+//!   of hashing a 3-tuple.
 //!
 //! Atom ids are dense and monotone: `AtomId(i)` was inserted before
 //! `AtomId(j)` whenever `i < j`. The same holds for null ids. The
@@ -185,7 +182,6 @@ pub struct Instance {
     dedup: DedupTable,
     /// Columnar postings, indexed directly by `PredId`.
     by_pred: Vec<PredIndex>,
-    by_null: FxHashMap<NullId, Vec<AtomId>>,
     next_null: u32,
     /// Liveness of atom `i`; retraction tombstones the slab entry.
     live: Vec<bool>,
@@ -252,10 +248,6 @@ impl Instance {
                 // with nulls imported via `from_atoms`.
                 if n.0 >= self.next_null {
                     self.next_null = n.0 + 1;
-                }
-                let posting = self.by_null.entry(n).or_default();
-                if posting.last() != Some(&id) {
-                    posting.push(id);
                 }
             }
         }
@@ -363,9 +355,9 @@ impl Instance {
     }
 
     /// Retracts a live atom: tombstones its slab entry and removes it from
-    /// the dedup table and every posting list (predicate extension,
-    /// per-position postings, per-null postings). Returns `false` if the
-    /// atom was already retracted.
+    /// the dedup table and every posting list (predicate extension and
+    /// per-position postings). Returns `false` if the atom was already
+    /// retracted.
     ///
     /// The interned content stays readable through [`Instance::atom`] so
     /// provenance structures can still resolve the dead id; `contains`,
@@ -379,24 +371,13 @@ impl Instance {
         self.live[i] = false;
         self.dead += 1;
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let args_range = start..self.ends[i] as usize;
         let pred = self.preds[i];
-        let hash = hash_parts(pred, &self.terms[args_range.clone()]);
+        let hash = hash_parts(pred, &self.terms[start..self.ends[i] as usize]);
         self.dedup.remove(hash, id.0);
         fn drop_from(posting: &mut Vec<AtomId>, id: AtomId) {
             // Postings are strictly ascending, so binary search applies.
             if let Ok(at) = posting.binary_search(&id) {
                 posting.remove(at);
-            }
-        }
-        for k in args_range {
-            if let Term::Null(n) = self.terms[k] {
-                if let Some(posting) = self.by_null.get_mut(&n) {
-                    drop_from(posting, id);
-                    if posting.is_empty() {
-                        self.by_null.remove(&n);
-                    }
-                }
             }
         }
         let pi = &mut self.by_pred[pred.index()];
@@ -442,12 +423,6 @@ impl Instance {
             .and_then(|m| m.get(&term))
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Ids of atoms mentioning the given null, in insertion order
-    /// (deduplicated).
-    pub fn with_null(&self, null: NullId) -> &[AtomId] {
-        self.by_null.get(&null).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// All distinct terms of the live atom set (order unspecified).
@@ -536,14 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn null_postings_deduplicate_within_an_atom() {
-        let mut inst = Instance::new();
-        inst.insert(atom(0, vec![n(0), n(0)]));
-        inst.insert(atom(1, vec![n(0)]));
-        assert_eq!(inst.with_null(NullId(0)).len(), 2);
-    }
-
-    #[test]
     fn terms_are_collected_once() {
         let mut inst = Instance::new();
         inst.insert(atom(0, vec![c(0), n(1)]));
@@ -622,9 +589,8 @@ mod tests {
         assert!(inst.with_pred_pos_term(PredId(0), 1, c(1)).is_empty());
         // The slab still resolves the dead id's content.
         assert_eq!(inst.atom(a).to_atom(), atom(0, vec![c(0), c(1)]));
-        // Null postings are repaired too.
         assert!(inst.retract(x));
-        assert!(inst.with_null(NullId(0)).is_empty());
+        assert!(!inst.contains(&atom(1, vec![n(0)])));
     }
 
     #[test]

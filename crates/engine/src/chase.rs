@@ -19,7 +19,8 @@ use std::time::Instant;
 
 use chasekit_core::{
     exists_extension, exists_extension_scratch, for_each_hom, for_each_hom_scratch, AtomId,
-    FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program, Substitution, Term,
+    CriticalInstance, FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program,
+    Substitution, Term,
 };
 
 use crate::derivation::{Application, DerivationDag};
@@ -779,6 +780,17 @@ pub fn chase_facts(
     chase(program, variant, initial, budget)
 }
 
+/// The instance a run of `program` starts from: its facts, or its critical
+/// instance when it has none (building that interns the critical constant
+/// into the program's vocabulary).
+pub fn initial_instance(program: &mut Program) -> Instance {
+    if program.facts().is_empty() {
+        CriticalInstance::build(program).instance
+    } else {
+        Instance::from_atoms(program.facts().iter().cloned())
+    }
+}
+
 /// Checks that `instance` is a model of the program's rules: every trigger
 /// has its head satisfied. Used by tests to validate chase results.
 pub fn is_model(program: &Program, instance: &Instance) -> bool {
@@ -804,9 +816,6 @@ pub fn is_model(program: &Program, instance: &Instance) -> bool {
 pub fn contains_instance(instance: &Instance, base: &Instance) -> bool {
     base.iter().all(|(_, a)| instance.id_of_parts(a.pred, a.args).is_some())
 }
-
-#[allow(unused_imports)]
-use chasekit_core::atom::Atom as _AtomForDocs;
 
 #[cfg(test)]
 mod tests {
@@ -932,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn derivation_tracking_records_parents_and_depths() {
+    fn derivation_tracking_records_parents_and_ancestor_chains() {
         let p = Program::parse("p(a). p(X) -> q(X, Y). q(X, Y) -> r(Y).").unwrap();
         let mut m = ChaseMachine::new(
             &p,
@@ -942,12 +951,12 @@ mod tests {
         assert_eq!(m.run(&Budget::default()), StopReason::Saturated);
         let dag = m.derivation();
         assert_eq!(dag.applications().len(), 2);
-        assert_eq!(dag.max_depth(), 2);
         // r(z) was created from q(a, z), which came from p(a).
         let r_pred = p.vocab.pred("r").unwrap();
         let (r_id, _) = m.instance().iter().find(|(_, a)| a.pred == r_pred).unwrap();
         let chain = dag.ancestor_chain(r_id);
         assert_eq!(chain.len(), 2);
+        assert!(dag.creator_of(chain[1]).is_none(), "the chain ends at the fact p(a)");
     }
 
     #[test]

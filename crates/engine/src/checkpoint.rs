@@ -286,12 +286,7 @@ impl Checkpoint {
         let mut out = String::new();
         out.push_str("chasekit-checkpoint v1\n");
         out.push_str(&format!("program {:016x}\n", self.program_fingerprint));
-        let variant = match self.config.variant {
-            ChaseVariant::Oblivious => "oblivious",
-            ChaseVariant::SemiOblivious => "semi-oblivious",
-            ChaseVariant::Restricted => "restricted",
-        };
-        out.push_str(&format!("variant {variant}\n"));
+        out.push_str(&format!("variant {}\n", self.config.variant.name()));
         // Retired ablation flag: always 0, kept so the format stays v1.
         out.push_str("naive-matching 0\n");
         match self.config.scheduling {
@@ -389,16 +384,10 @@ impl Checkpoint {
         let variant = {
             let (n, l) = next("variant line")?;
             let rest = l.strip_prefix("variant ").ok_or_else(|| bad(n, l, "variant <name>"))?;
-            match rest.trim() {
-                "oblivious" => ChaseVariant::Oblivious,
-                "semi-oblivious" => ChaseVariant::SemiOblivious,
-                "restricted" => ChaseVariant::Restricted,
-                other => {
-                    return Err(CheckpointError::Parse(format!(
-                        "line {n}: unknown chase variant {other:?}"
-                    )))
-                }
-            }
+            let name = rest.trim();
+            ChaseVariant::from_name(name).ok_or_else(|| {
+                CheckpointError::Parse(format!("line {n}: unknown chase variant {name:?}"))
+            })?
         };
 
         // Delta discovery is the only matching mode, so only `0` is valid.
@@ -647,26 +636,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
-}
-
-/// The stable keyword for a variant, as written in job `meta` files and
-/// on the serve wire.
-pub(crate) fn variant_token(v: ChaseVariant) -> &'static str {
-    match v {
-        ChaseVariant::Oblivious => "oblivious",
-        ChaseVariant::SemiOblivious => "semi-oblivious",
-        ChaseVariant::Restricted => "restricted",
-    }
-}
-
-/// Inverse of [`variant_token`].
-pub(crate) fn parse_variant(s: &str) -> Option<ChaseVariant> {
-    match s {
-        "oblivious" => Some(ChaseVariant::Oblivious),
-        "semi-oblivious" => Some(ChaseVariant::SemiOblivious),
-        "restricted" => Some(ChaseVariant::Restricted),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 //!
 //! The guarded termination procedure needs, for every chase-produced atom:
 //! its creating application, the body-image atoms (in particular the image
-//! of the rule's *guard*), the frontier assignment, the nulls minted by the
-//! application, and birth timestamps. Atom and null ids are monotone, so
-//! ids double as birth clocks; application sequence numbers give a third.
+//! of the rule's *guard*), the frontier assignment and the nulls minted by
+//! the application. Retraction repair walks the same DAG downwards to find
+//! what a deleted atom supported.
 
 use chasekit_core::{AtomId, FxHashMap, FxHashSet, NullId, Term};
 
@@ -42,11 +42,6 @@ pub struct DerivationDag {
     /// For each atom: the application that first created it (absent for
     /// atoms of the initial instance).
     creator: FxHashMap<AtomId, usize>,
-    /// For each atom: its derivation depth (0 for initial atoms, else
-    /// 1 + max over parents).
-    depth: FxHashMap<AtomId, u32>,
-    /// For each null: the application that minted it.
-    null_birth: FxHashMap<NullId, u64>,
     /// For each null: the index of the application that minted it.
     null_minter: FxHashMap<NullId, usize>,
     /// For each atom: indices of applications using it as a parent. This
@@ -65,7 +60,6 @@ impl DerivationDag {
     pub fn push_application(&mut self, app: Application) -> usize {
         let idx = self.apps.len();
         for &n in &app.born_nulls {
-            self.null_birth.insert(n, app.seq);
             self.null_minter.insert(n, idx);
         }
         for &p in &app.parents {
@@ -97,30 +91,13 @@ impl DerivationDag {
     /// Records that `atom` was first created by application `app_idx`.
     pub fn record_atom(&mut self, atom: AtomId, app_idx: usize) {
         debug_assert!(!self.creator.contains_key(&atom));
-        let parent_depth = self.apps[app_idx]
-            .parents
-            .iter()
-            .map(|p| self.depth_of(*p))
-            .max()
-            .unwrap_or(0);
         self.creator.insert(atom, app_idx);
-        self.depth.insert(atom, parent_depth + 1);
         self.apps[app_idx].produced.push(atom);
     }
 
     /// The application that created `atom`, if it is not an initial atom.
     pub fn creator_of(&self, atom: AtomId) -> Option<&Application> {
         self.creator.get(&atom).map(|&i| &self.apps[i])
-    }
-
-    /// Derivation depth of an atom (0 for initial atoms).
-    pub fn depth_of(&self, atom: AtomId) -> u32 {
-        self.depth.get(&atom).copied().unwrap_or(0)
-    }
-
-    /// The application sequence number that minted `null`, if tracked.
-    pub fn null_birth(&self, null: NullId) -> Option<u64> {
-        self.null_birth.get(&null).copied()
     }
 
     /// All applications, in sequence order.
@@ -192,11 +169,6 @@ impl DerivationDag {
         }
         chain
     }
-
-    /// Maximum derivation depth over all recorded atoms.
-    pub fn max_depth(&self) -> u32 {
-        self.depth.values().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -217,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_accumulates_along_parents() {
-        let mut dag = DerivationDag::new();
-        // Initial atom 0 (not recorded). App 0 creates atom 1 from atom 0.
-        let a0 = dag.push_application(app(0, 0, vec![AtomId(0)], Some(AtomId(0))));
-        dag.record_atom(AtomId(1), a0);
-        // App 1 creates atom 2 from atom 1.
-        let a1 = dag.push_application(app(0, 1, vec![AtomId(1)], Some(AtomId(1))));
-        dag.record_atom(AtomId(2), a1);
-        assert_eq!(dag.depth_of(AtomId(0)), 0);
-        assert_eq!(dag.depth_of(AtomId(1)), 1);
-        assert_eq!(dag.depth_of(AtomId(2)), 2);
-        assert_eq!(dag.max_depth(), 2);
-    }
-
-    #[test]
     fn ancestor_chain_walks_to_initial() {
         let mut dag = DerivationDag::new();
         let a0 = dag.push_application(app(0, 0, vec![AtomId(0)], Some(AtomId(0))));
@@ -243,13 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn null_births_are_tracked() {
+    fn null_minters_are_tracked() {
         let mut dag = DerivationDag::new();
         let mut a = app(0, 7, vec![AtomId(0)], None);
         a.born_nulls = vec![NullId(3)];
-        dag.push_application(a);
-        assert_eq!(dag.null_birth(NullId(3)), Some(7));
-        assert_eq!(dag.null_birth(NullId(4)), None);
+        let i = dag.push_application(a);
+        assert_eq!(dag.minter_of(NullId(3)), Some(i));
+        assert_eq!(dag.app(i).seq, 7);
+        assert_eq!(dag.minter_of(NullId(4)), None);
     }
 
     #[test]
@@ -305,8 +263,6 @@ mod tests {
 
         let rebuilt = DerivationDag::from_applications(orig.applications().to_vec());
         assert_eq!(rebuilt.applications().len(), 2);
-        assert_eq!(rebuilt.depth_of(AtomId(2)), 2);
-        assert_eq!(rebuilt.null_birth(NullId(0)), Some(0));
         assert_eq!(rebuilt.minter_of(NullId(0)), Some(0));
         assert_eq!(rebuilt.consumers_of(AtomId(1)), &[1]);
         assert_eq!(rebuilt.creator_of(AtomId(1)).unwrap().rule, 0);

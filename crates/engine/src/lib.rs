@@ -24,21 +24,18 @@
 
 pub mod chase;
 pub mod checkpoint;
-pub mod core_chase;
-pub mod core_min;
 pub mod derivation;
 pub mod dot;
 pub mod failpoint;
 pub mod guard;
 pub mod incremental;
 pub mod metrics;
-pub mod query;
 pub mod serve;
 pub mod trace;
 pub mod variant;
 
 pub use chase::{
-    chase, chase_facts, contains_instance, is_model, ChaseConfig, ChaseMachine,
+    chase, chase_facts, contains_instance, initial_instance, is_model, ChaseConfig, ChaseMachine,
     ChaseResult, ChaseStats, RoundStats, Scheduling, StepEvent,
 };
 pub use checkpoint::{
@@ -50,12 +47,9 @@ pub use incremental::{
     canonical_form, check_support, edited_program, parse_edit_script, Edit, RetractOutcome,
     UpdateError, UpdateReport,
 };
-pub use core_chase::{core_chase, CoreChaseOutcome, CoreChaseResult};
-pub use core_min::{core_of, instances_isomorphic, MAX_CORE_NULLS};
 pub use derivation::{Application, DerivationDag};
 pub use dot::derivation_to_dot;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink, RuleMetrics};
-pub use query::{certain_answers, certainly_holds, ConjunctiveQuery, QueryError};
 pub use serve::{serve, JobReport, JobSpec, ServeConfig, ServerHandle};
 pub use trace::{
     core_seq, validate_trace_line, JsonlSink, MultiSink, ProgressReport, TraceEvent,

@@ -29,7 +29,6 @@ use std::io::{self, BufRead};
 
 use chasekit_core::display::json_string;
 
-use crate::checkpoint::{parse_variant, variant_token};
 use crate::ChaseVariant;
 
 /// Default cap on a request line, including the program text (1 MiB).
@@ -498,16 +497,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Parses the CLI/protocol variant spelling (`o`, `so`, `restricted` and
-/// their long forms).
-pub fn parse_variant_token(raw: &str) -> Result<ChaseVariant, String> {
-    match raw {
-        "o" => Ok(ChaseVariant::Oblivious),
-        "so" => Ok(ChaseVariant::SemiOblivious),
-        "standard" => Ok(ChaseVariant::Restricted),
-        other => parse_variant(other)
-            .ok_or_else(|| format!("`variant` expects o|so|restricted, got `{other}`")),
-    }
+/// Parses the wire variant spelling ([`ChaseVariant::from_alias`]).
+fn parse_variant_token(raw: &str) -> Result<ChaseVariant, String> {
+    ChaseVariant::from_alias(raw)
+        .ok_or_else(|| format!("`variant` expects o|so|restricted, got `{raw}`"))
 }
 
 // ---------------------------------------------------------------------------
@@ -541,11 +534,6 @@ pub fn error_response(code: &str, detail: &str) -> String {
         false,
         &[("error", Value::Str(code.to_string())), ("detail", Value::Str(detail.to_string()))],
     )
-}
-
-/// Re-exported for response building: the stable chase-variant token.
-pub fn variant_str(v: ChaseVariant) -> &'static str {
-    variant_token(v)
 }
 
 #[cfg(test)]

@@ -19,11 +19,13 @@
 
 use std::path::{Path, PathBuf};
 
-use chasekit_core::{CriticalInstance, Instance, Program};
+use chasekit_core::Program;
 
 use crate::checkpoint::{run_durable, write_snapshot_atomic, Checkpoint};
 use crate::trace::TraceSink;
-use crate::{Budget, CancelToken, ChaseConfig, ChaseMachine, ChaseVariant, StopReason};
+use crate::{
+    initial_instance, Budget, CancelToken, ChaseConfig, ChaseMachine, ChaseVariant, StopReason,
+};
 
 /// The per-job budget and durability cadence, persisted in the job's
 /// `meta` file so a restarted server re-runs the job under identical
@@ -150,11 +152,7 @@ pub fn run_job(
         Err(e) => return Err(format!("cannot read {}: {e}", paths.state_checkpoint().display())),
     };
 
-    let genesis = if program.facts().is_empty() {
-        CriticalInstance::build(&mut program).instance
-    } else {
-        Instance::from_atoms(program.facts().iter().cloned())
-    };
+    let genesis = initial_instance(&mut program);
 
     let recovered = snapshot_text.is_some();
     let mut machine = match &snapshot_text {

@@ -498,7 +498,7 @@ fn execute_job(
         atoms: report.atoms as u64,
         nulls: report.nulls as u64,
         fingerprint,
-        variant: protocol::variant_str(stored.spec.variant).to_string(),
+        variant: stored.spec.variant.name().to_string(),
     };
     shared
         .store
@@ -686,7 +686,7 @@ fn handle_submit(
 
     // Result cache: a compatible saturated run answers without chasing.
     if !fresh {
-        let key = (program_fingerprint(&program), protocol::variant_str(spec.variant).to_string());
+        let key = (program_fingerprint(&program), spec.variant.name().to_string());
         let hit = lock(&shared.cache).get(&key).filter(|c| cache_serves(c, &spec)).cloned();
         if let Some(cached) = hit {
             shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);

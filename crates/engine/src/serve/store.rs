@@ -26,9 +26,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{parse_variant, variant_token, write_snapshot_atomic};
+use crate::checkpoint::write_snapshot_atomic;
 use crate::serve::runner::{JobPaths, JobSpec};
-use crate::StopReason;
+use crate::{ChaseVariant, StopReason};
 
 /// Magic first line of the `meta` file.
 pub const META_MAGIC: &str = "chasekit-job v1";
@@ -91,7 +91,8 @@ impl JobResult {
         let fingerprint = u64::from_str_radix(&fp_raw, 16)
             .map_err(|_| format!("result: bad fingerprint {fp_raw:?}"))?;
         let variant = field("variant")?;
-        parse_variant(&variant).ok_or_else(|| format!("result: unknown variant `{variant}`"))?;
+        ChaseVariant::from_name(&variant)
+            .ok_or_else(|| format!("result: unknown variant `{variant}`"))?;
         Ok(JobResult { outcome, applications, atoms, nulls, fingerprint, variant })
     }
 }
@@ -116,7 +117,7 @@ fn spec_to_text(spec: &JobSpec) -> String {
     format!(
         "{META_MAGIC}\nvariant {}\nsteps {}\ntimeout-ms {}\nmax-atoms {}\nmax-memory {}\n\
          checkpoint-every {}\n",
-        variant_token(spec.variant),
+        spec.variant.name(),
         spec.steps,
         opt(spec.timeout_ms),
         opt(spec.max_atoms.map(|n| n as u64)),
@@ -138,7 +139,7 @@ fn spec_from_text(text: &str) -> Result<JobSpec, String> {
             .ok_or_else(|| format!("meta: expected `{key} <value>`, got {line:?}"))
     };
     let variant_raw = field("variant")?;
-    let variant = parse_variant(&variant_raw)
+    let variant = ChaseVariant::from_name(&variant_raw)
         .ok_or_else(|| format!("meta: unknown variant `{variant_raw}`"))?;
     let num = |key: &str, raw: String| {
         raw.parse::<u64>().map_err(|_| format!("meta: `{key}` is not a number: {raw:?}"))
@@ -353,7 +354,6 @@ impl JobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChaseVariant;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

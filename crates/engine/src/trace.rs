@@ -41,6 +41,7 @@ use std::io::Write;
 
 use crate::chase::ChaseStats;
 use crate::guard::StopReason;
+use crate::serve::protocol::{parse_object, Value};
 use chasekit_core::Program;
 
 /// One structured chase event. See the module docs for the class taxonomy.
@@ -445,21 +446,24 @@ const SCHEMA: &[(&str, &[(&str, bool)])] = &[
 /// be a flat JSON object, its `ev` must be a known kind, and its field set
 /// must be *exactly* the kind's schema (unknown fields fail — this is the
 /// guard against silent schema drift). Returns the event kind on success.
+///
+/// The line is read with the serve protocol's flat-JSON parser
+/// ([`parse_object`]), which decodes every escape `json_string` writes.
 pub fn validate_trace_line(line: &str) -> Result<&'static str, String> {
-    let fields = parse_flat_object(line)?;
+    let fields = parse_object(line)?;
     let mut seq_seen = false;
     let mut kind: Option<&str> = None;
     for (key, value) in &fields {
         match key.as_str() {
             "seq" => {
-                if !matches!(value, JsonValue::Number) {
+                if !matches!(value, Value::Num(_)) {
                     return Err("`seq` must be a number".into());
                 }
                 seq_seen = true;
             }
             "ev" => match value {
-                JsonValue::String(s) => kind = Some(s),
-                JsonValue::Number => return Err("`ev` must be a string".into()),
+                Value::Str(s) => kind = Some(s),
+                Value::Num(_) => return Err("`ev` must be a string".into()),
             },
             _ => {}
         }
@@ -479,7 +483,7 @@ pub fn validate_trace_line(line: &str) -> Result<&'static str, String> {
         let Some((_, is_string)) = expected.iter().find(|(k, _)| k == key) else {
             return Err(format!("unknown field {key:?} on event kind {kind:?}"));
         };
-        let got_string = matches!(value, JsonValue::String(_));
+        let got_string = matches!(value, Value::Str(_));
         if got_string != *is_string {
             return Err(format!(
                 "field {key:?} on {kind:?} must be a {}",
@@ -493,89 +497,6 @@ pub fn validate_trace_line(line: &str) -> Result<&'static str, String> {
         }
     }
     Ok(schema_kind)
-}
-
-/// A scalar value in a flat trace object. The number's value is validated
-/// at parse time but not retained — the schema only checks types.
-enum JsonValue {
-    Number,
-    String(String),
-}
-
-/// Parses a single-line flat JSON object of string/number values. Minimal
-/// by design (no nesting, no floats, no escapes beyond `\"` and `\\`) —
-/// exactly the grammar the trace writer emits, so anything fancier is
-/// already schema drift.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?;
-    let mut fields = Vec::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        // Key.
-        match chars.next() {
-            None => break,
-            Some('"') => {}
-            Some(c) => return Err(format!("expected `\"` to open a key, got {c:?}")),
-        }
-        let mut key = String::new();
-        for c in chars.by_ref() {
-            if c == '"' {
-                break;
-            }
-            key.push(c);
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key {key:?}"));
-        }
-        // Value.
-        let value = match chars.peek() {
-            Some('"') => {
-                chars.next();
-                let mut v = String::new();
-                loop {
-                    match chars.next() {
-                        None => return Err("unterminated string value".into()),
-                        Some('\\') => match chars.next() {
-                            Some('"') => v.push('"'),
-                            Some('\\') => v.push('\\'),
-                            other => return Err(format!("bad escape {other:?}")),
-                        },
-                        Some('"') => break,
-                        Some(c) => v.push(c),
-                    }
-                }
-                JsonValue::String(v)
-            }
-            _ => {
-                let mut digits = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        digits.push(*c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let _: u64 =
-                    digits.parse().map_err(|_| format!("bad number after key {key:?}"))?;
-                JsonValue::Number
-            }
-        };
-        if fields.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate field {key:?}"));
-        }
-        fields.push((key, value));
-        match chars.next() {
-            None => break,
-            Some(',') => continue,
-            Some(c) => return Err(format!("expected `,` between fields, got {c:?}")),
-        }
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -597,6 +518,8 @@ mod tests {
             r#"{"seq":4,"ev":"rederive","apps":1,"atoms":2}"#,
             r#"{"seq":7,"ev":"edit","adds":2,"retracts":1}"#,
             r#"{"seq":9,"ev":"guard","reason":"wall-clock"}"#,
+            // String fields carry whatever escapes `json_string` writes.
+            r#"{"seq":6,"ev":"atom","id":7,"pred":"odd\nname\u0001","rule":0,"app":1}"#,
         ] {
             validate_trace_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }

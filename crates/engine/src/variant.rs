@@ -51,16 +51,42 @@ impl ChaseVariant {
     pub fn checks_satisfaction(self) -> bool {
         matches!(self, ChaseVariant::Restricted)
     }
+
+    /// The long token (`oblivious`, `semi-oblivious`, `restricted`): what
+    /// `Display` prints and what checkpoints and job files store.
+    pub fn name(self) -> &'static str {
+        match self {
+            ChaseVariant::Oblivious => "oblivious",
+            ChaseVariant::SemiOblivious => "semi-oblivious",
+            ChaseVariant::Restricted => "restricted",
+        }
+    }
+
+    /// Parses a long token, the only spelling files accept.
+    pub fn from_name(s: &str) -> Option<ChaseVariant> {
+        match s {
+            "oblivious" => Some(ChaseVariant::Oblivious),
+            "semi-oblivious" => Some(ChaseVariant::SemiOblivious),
+            "restricted" => Some(ChaseVariant::Restricted),
+            _ => None,
+        }
+    }
+
+    /// Parses the command-line and wire spelling: a long token or one of
+    /// the aliases `o`, `so` and `standard`.
+    pub fn from_alias(s: &str) -> Option<ChaseVariant> {
+        match s {
+            "o" => Some(ChaseVariant::Oblivious),
+            "so" => Some(ChaseVariant::SemiOblivious),
+            "standard" => Some(ChaseVariant::Restricted),
+            other => ChaseVariant::from_name(other),
+        }
+    }
 }
 
 impl std::fmt::Display for ChaseVariant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ChaseVariant::Oblivious => "oblivious",
-            ChaseVariant::SemiOblivious => "semi-oblivious",
-            ChaseVariant::Restricted => "restricted",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
@@ -104,5 +130,21 @@ mod tests {
         assert_eq!(ChaseVariant::Oblivious.to_string(), "oblivious");
         assert_eq!(ChaseVariant::SemiOblivious.to_string(), "semi-oblivious");
         assert_eq!(ChaseVariant::Restricted.to_string(), "restricted");
+    }
+
+    #[test]
+    fn names_and_aliases_round_trip() {
+        for v in [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
+            assert_eq!(ChaseVariant::from_name(v.name()), Some(v));
+            assert_eq!(ChaseVariant::from_alias(v.name()), Some(v));
+        }
+        assert_eq!(ChaseVariant::from_alias("o"), Some(ChaseVariant::Oblivious));
+        assert_eq!(ChaseVariant::from_alias("so"), Some(ChaseVariant::SemiOblivious));
+        assert_eq!(ChaseVariant::from_alias("standard"), Some(ChaseVariant::Restricted));
+        // Files accept only the long tokens.
+        for alias in ["o", "so", "standard", "Oblivious", ""] {
+            assert_eq!(ChaseVariant::from_name(alias), None, "{alias:?}");
+        }
+        assert_eq!(ChaseVariant::from_alias("semi"), None);
     }
 }

@@ -506,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn feedback_with_null_growth_diverges() {
+    fn feedback_with_growing_nulls_diverges() {
         let src = "p(X) -> q(X, Z). q(X, Z) -> p(Z).";
         assert!(!so(src));
         assert!(!ob(src));

@@ -9,6 +9,8 @@
 //!                    [--timeout-ms N] [--max-atoms-mem BYTES] [--checkpoint FILE]
 //!                    [--checkpoint-every N] [--threads N] [--trace FILE]
 //!                    [--metrics FILE] [--progress SECS]
+//! chasekit update    <rules-file> --edits FILE [--variant o|so|restricted] [--steps N]
+//!                    [--dot FILE] [--trace FILE] [--metrics FILE]
 //! chasekit critical  <rules-file> [--standard]
 //! chasekit serve     --store DIR [--addr HOST:PORT] [--workers N] [--queue N]
 //!                    [--variant o|so|restricted] [--steps N] [--timeout-ms N]
@@ -48,8 +50,8 @@ use std::process::ExitCode;
 
 use chasekit::core::display::{instance_to_string, rule_to_string};
 use chasekit::engine::{
-    failpoint, publish_snapshot, remove_snapshot, run_durable, Checkpoint, JsonlSink,
-    MetricsSink, MultiSink, StopReason, TraceEvent, TraceSink,
+    failpoint, initial_instance, publish_snapshot, remove_snapshot, run_durable, Checkpoint,
+    JsonlSink, MetricsRegistry, MetricsSink, MultiSink, StopReason, TraceEvent, TraceSink,
 };
 use chasekit::prelude::*;
 
@@ -193,16 +195,9 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--variant" => {
                 let raw = value(&mut argv, "--variant")?;
-                out.variant = match raw.as_str() {
-                    "o" | "oblivious" => ChaseVariant::Oblivious,
-                    "so" | "semi-oblivious" => ChaseVariant::SemiOblivious,
-                    "restricted" | "standard" => ChaseVariant::Restricted,
-                    other => {
-                        return Err(format!(
-                            "`--variant` expects o|so|restricted, got `{other}`"
-                        ))
-                    }
-                }
+                out.variant = ChaseVariant::from_alias(&raw).ok_or_else(|| {
+                    format!("`--variant` expects o|so|restricted, got `{raw}`")
+                })?;
             }
             "--steps" => out.steps = number(&mut argv, "--steps")?,
             "--fuel" => out.fuel = number(&mut argv, "--fuel")?,
@@ -288,6 +283,21 @@ fn parse_args() -> Result<Args, String> {
              program with `chase` for a durable artifact)"
             .to_string());
     }
+    if out.command == "update" {
+        // Both update chases run under an application budget only.
+        for (flag, given) in [
+            ("--timeout-ms", out.timeout_ms.is_some()),
+            ("--max-atoms-mem", out.max_mem.is_some()),
+            ("--progress", out.progress.is_some()),
+        ] {
+            if given {
+                return Err(format!(
+                    "`update` cannot be combined with `{flag}`: its chases are bounded by \
+                     `--steps` only"
+                ));
+            }
+        }
+    }
     if out.command != "serve" && out.keep_completed.is_some() {
         return Err("`--keep-completed` is only valid with `serve`".to_string());
     }
@@ -312,6 +322,53 @@ fn stop_exit_code(reason: StopReason) -> ExitCode {
     }
 }
 
+/// The `--metrics` registry a run fills, and the file it is written to.
+type MetricsOut = (std::sync::Arc<std::sync::Mutex<MetricsRegistry>>, std::fs::File);
+
+/// The observability outputs of a `chase`/`update` run.
+struct RunOutputs {
+    /// Feeds the `--trace` file and the `--metrics` registry.
+    sink: Option<Box<dyn TraceSink>>,
+    metrics: Option<MetricsOut>,
+}
+
+/// The start of a `chase`/`update` run: creates the `--trace` and
+/// `--metrics` files before any chase work, so a bad path fails fast
+/// (exit 1) rather than after a long run, and builds the trace sink that
+/// feeds them. Sinks take `program`'s predicate names, so build them after
+/// every name is interned.
+fn open_outputs(args: &Args, program: &Program) -> Result<RunOutputs, String> {
+    let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+    if let Some(path) = &args.trace {
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
+        sinks.push(Box::new(JsonlSink::new(std::io::BufWriter::new(file), program)));
+    }
+    let mut metrics = None;
+    if let Some(path) = &args.metrics {
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot create metrics file {path}: {e}"))?;
+        let sink = MetricsSink::new(program);
+        metrics = Some((sink.registry(), file));
+        sinks.push(Box::new(sink));
+    }
+    let sink: Option<Box<dyn TraceSink>> = match sinks.len() {
+        0 => None,
+        1 => sinks.pop(),
+        _ => Some(Box::new(MultiSink::new(sinks))),
+    };
+    Ok(RunOutputs { sink, metrics })
+}
+
+/// The run's start instance ([`initial_instance`]), announcing when the
+/// file has no facts and the critical instance stands in.
+fn start_instance(program: &mut Program) -> Instance {
+    if program.facts().is_empty() {
+        println!("(no facts in file: chasing the critical instance)");
+    }
+    initial_instance(program)
+}
+
 /// The end of a `chase`/`update` run: writes the `--dot` derivation DAG,
 /// flushes the trace, and writes the `--metrics` report (into the file
 /// opened before the run), each only when asked for.
@@ -319,8 +376,7 @@ fn write_outputs(
     args: &Args,
     machine: &mut chasekit::engine::ChaseMachine<'_>,
     program: &Program,
-    registry: Option<std::sync::Arc<std::sync::Mutex<chasekit::engine::MetricsRegistry>>>,
-    metrics_file: Option<std::fs::File>,
+    metrics: Option<MetricsOut>,
 ) -> Result<(), String> {
     use std::io::Write as _;
     if let Some(path) = &args.dot {
@@ -333,7 +389,7 @@ fn write_outputs(
         println!("derivation DAG written to {path}");
     }
     machine.flush_trace();
-    if let (Some(path), Some(registry), Some(mut file)) = (&args.metrics, registry, metrics_file) {
+    if let (Some(path), Some((registry, mut file))) = (&args.metrics, metrics) {
         let json = registry.lock().expect("metrics registry poisoned").to_json();
         file.write_all(json.as_bytes())
             .map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
@@ -555,44 +611,12 @@ fn main() -> ExitCode {
                 cfg = cfg.with_derivation();
             }
 
-            // Observability outputs are opened before any chase work so a
-            // bad path fails fast (exit 1), not after a long run.
-            let trace_out = match &args.trace {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(f) => Some(std::io::BufWriter::new(f)),
-                    Err(e) => {
-                        eprintln!("cannot create trace file {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            let metrics_file = match &args.metrics {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(f) => Some(f),
-                    Err(e) => {
-                        eprintln!("cannot create metrics file {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-            if let Some(out) = trace_out {
-                sinks.push(Box::new(JsonlSink::new(out, &program)));
-            }
-            let registry = if metrics_file.is_some() {
-                let ms = MetricsSink::new(&program);
-                let reg = ms.registry();
-                sinks.push(Box::new(ms));
-                Some(reg)
-            } else {
-                None
-            };
-            let sink: Option<Box<dyn TraceSink>> = match sinks.len() {
-                0 => None,
-                1 => sinks.pop(),
-                _ => Some(Box::new(MultiSink::new(sinks))),
+            let RunOutputs { sink, metrics } = match open_outputs(&args, &program) {
+                Ok(outputs) => outputs,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return ExitCode::FAILURE;
+                }
             };
 
             // Resume from a checkpoint file when one exists; otherwise start
@@ -644,12 +668,7 @@ fn main() -> ExitCode {
                     }
                 },
                 None => {
-                    let initial = if program.facts().is_empty() {
-                        println!("(no facts in file: chasing the critical instance)");
-                        CriticalInstance::build(&mut program).instance
-                    } else {
-                        Instance::from_atoms(program.facts().iter().cloned())
-                    };
+                    let initial = start_instance(&mut program);
                     match sink {
                         Some(sink) => ChaseMachine::new_with_trace(&program, cfg, initial, sink),
                         None => ChaseMachine::new(&program, cfg, initial),
@@ -728,7 +747,7 @@ fn main() -> ExitCode {
                 }
             }
 
-            if let Err(msg) = write_outputs(&args, &mut machine, &program, registry, metrics_file) {
+            if let Err(msg) = write_outputs(&args, &mut machine, &program, metrics) {
                 eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
@@ -757,44 +776,14 @@ fn main() -> ExitCode {
                 }
             };
             let cfg = ChaseConfig::of(args.variant).with_derivation();
-            let initial = if program.facts().is_empty() {
-                println!("(no facts in file: chasing the critical instance)");
-                CriticalInstance::build(&mut program).instance
-            } else {
-                Instance::from_atoms(program.facts().iter().cloned())
-            };
-            let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-            if let Some(path) = &args.trace {
-                match std::fs::File::create(path) {
-                    Ok(f) => sinks
-                        .push(Box::new(JsonlSink::new(std::io::BufWriter::new(f), &program))),
-                    Err(e) => {
-                        eprintln!("cannot create trace file {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
+            let RunOutputs { sink, metrics } = match open_outputs(&args, &program) {
+                Ok(outputs) => outputs,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return ExitCode::FAILURE;
                 }
-            }
-            let mut metrics_file = None;
-            let registry = if let Some(path) = &args.metrics {
-                match std::fs::File::create(path) {
-                    Ok(f) => metrics_file = Some(f),
-                    Err(e) => {
-                        eprintln!("cannot create metrics file {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                let ms = MetricsSink::new(&program);
-                let reg = ms.registry();
-                sinks.push(Box::new(ms));
-                Some(reg)
-            } else {
-                None
             };
-            let sink: Option<Box<dyn TraceSink>> = match sinks.len() {
-                0 => None,
-                1 => sinks.pop(),
-                _ => Some(Box::new(MultiSink::new(sinks))),
-            };
+            let initial = start_instance(&mut program);
             let mut machine = match sink {
                 Some(sink) => ChaseMachine::new_with_trace(&program, cfg, initial, sink),
                 None => ChaseMachine::new(&program, cfg, initial),
@@ -836,7 +825,7 @@ fn main() -> ExitCode {
                 machine.instance().len(),
                 machine.approx_memory_bytes() / 1024
             );
-            if let Err(msg) = write_outputs(&args, &mut machine, &program, registry, metrics_file) {
+            if let Err(msg) = write_outputs(&args, &mut machine, &program, metrics) {
                 eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }

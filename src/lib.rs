@@ -24,7 +24,7 @@
 //!   restricted-chase procedure for single-head linear TGDs;
 //! * seeded workload generators ([`datagen`]) powering the experiment
 //!   suite (see `crates/bench` and EXPERIMENTS.md), and the experiment
-//!   harness itself ([`bench`]) including the corpus-scale checker
+//!   harness itself ([`bench`](mod@bench)) including the corpus-scale checker
 //!   shoot-out (`chasekit bench landscape`).
 //!
 //! ## Quickstart

@@ -886,3 +886,132 @@ fn recovery_publication_failure_exits_15() {
     assert!(stdout.contains("resuming from checkpoint: 20 applications"), "{stdout}");
     let _ = std::fs::remove_file(&ckpt);
 }
+
+/// Rewrites every null token (`_:n3`) of a printed atom through `f`.
+fn map_nulls(atom: &str, mut f: impl FnMut(&str) -> String) -> String {
+    let mut out = String::new();
+    let mut rest = atom;
+    while let Some(at) = rest.find("_:") {
+        out.push_str(&rest[..at]);
+        let len = rest[at + 2..]
+            .find(|c: char| !c.is_ascii_alphanumeric())
+            .unwrap_or(rest.len() - at - 2);
+        out.push_str(&f(&rest[at..at + 2 + len]));
+        rest = &rest[at + 2 + len..];
+    }
+    out + rest
+}
+
+/// The instance a `chase`/`update` run prints (the lines after its
+/// `outcome:` line), up to null renaming: each null is named by its sorted
+/// contexts (the atoms mentioning it, with it written `*` and every other
+/// null `_`), then the atoms are sorted. Nulls with equal contexts keep a
+/// tie, which can only make isomorphic instances compare unequal.
+fn printed_instance_up_to_nulls(stdout: &str) -> Vec<String> {
+    let atoms: Vec<&str> =
+        stdout.lines().skip_while(|l| !l.starts_with("outcome:")).skip(1).collect();
+    let mut names: Vec<String> = Vec::new();
+    for atom in &atoms {
+        map_nulls(atom, |n| {
+            if !names.iter().any(|m| m == n) {
+                names.push(n.to_string());
+            }
+            String::new()
+        });
+    }
+    let mut ranked: Vec<(Vec<String>, String)> = names
+        .into_iter()
+        .map(|n| {
+            let mut contexts: Vec<String> = atoms
+                .iter()
+                .map(|a| map_nulls(a, |m| if m == n { "*".into() } else { "_".into() }))
+                .filter(|a| a.contains('*'))
+                .collect();
+            contexts.sort();
+            (contexts, n)
+        })
+        .collect();
+    ranked.sort();
+    let mut canonical: Vec<String> = atoms
+        .iter()
+        .map(|a| map_nulls(a, |n| format!("#{}", ranked.iter().position(|(_, m)| m == n).unwrap())))
+        .collect();
+    canonical.sort();
+    canonical
+}
+
+const UPDATE_RULES: &str = "% Every employee works in some department; managers are employees.
+emp(ann). emp(bob). mgr(bob).
+emp(X) -> worksIn(X, D).
+worksIn(X, D) -> dept(D).
+mgr(X) -> emp(X).
+";
+
+#[test]
+fn update_prints_the_chase_of_the_edited_program() {
+    let rules = write_rules("update.rules", UPDATE_RULES);
+    let edits = write_rules("update.edits", "retract emp(ann).\nadd mgr(carl).\n");
+    let edited = write_rules(
+        "update-edited.rules",
+        &UPDATE_RULES.replace("emp(ann). emp(bob). mgr(bob).", "emp(bob). mgr(bob). mgr(carl)."),
+    );
+    for variant in ["o", "so", "restricted"] {
+        let (stdout, stderr, code) = run(&[
+            "update",
+            rules.to_str().unwrap(),
+            "--edits",
+            edits.to_str().unwrap(),
+            "--variant",
+            variant,
+        ]);
+        assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+        assert!(stdout.contains("edits: 1 adds (0 already present), 1 retracts (0 absent)"));
+        let (rechase, _, code) =
+            run(&["chase", edited.to_str().unwrap(), "--variant", variant]);
+        assert_eq!(code, Some(0), "{rechase}");
+        let repaired = printed_instance_up_to_nulls(&stdout);
+        assert_eq!(repaired.len(), 8, "{stdout}");
+        assert_eq!(repaired, printed_instance_up_to_nulls(&rechase), "{variant}");
+        let (unedited, _, _) = run(&["chase", rules.to_str().unwrap(), "--variant", variant]);
+        assert_ne!(repaired, printed_instance_up_to_nulls(&unedited), "{variant}");
+    }
+}
+
+#[test]
+fn update_without_edits_exits_2() {
+    let rules = write_rules("update-noedits.rules", UPDATE_RULES);
+    let (_, stderr, code) = run(&["update", rules.to_str().unwrap()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--edits"), "{stderr}");
+}
+
+#[test]
+fn update_bad_script_line_exits_1_naming_the_line() {
+    let rules = write_rules("update-badscript.rules", UPDATE_RULES);
+    let edits = write_rules("update-bad.edits", "retract emp(ann).\nfrobnicate emp(bob).\n");
+    let (stdout, stderr, code) =
+        run(&["update", rules.to_str().unwrap(), "--edits", edits.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+}
+
+#[test]
+fn update_rejects_guard_flags_it_cannot_honour() {
+    let rules = write_rules("update-flags.rules", UPDATE_RULES);
+    let edits = write_rules("update-flags.edits", "add mgr(carl).\n");
+    for (flag, value) in
+        [("--timeout-ms", "50"), ("--max-atoms-mem", "100000"), ("--progress", "1")]
+    {
+        let (stdout, stderr, code) = run(&[
+            "update",
+            rules.to_str().unwrap(),
+            "--edits",
+            edits.to_str().unwrap(),
+            flag,
+            value,
+        ]);
+        assert_eq!(code, Some(2), "{flag}: stdout: {stdout}\nstderr: {stderr}");
+        assert!(stderr.contains(&format!("`{flag}`")), "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag}: rejected before any chase work: {stdout}");
+    }
+}
