@@ -50,7 +50,7 @@ impl DiGraph {
     /// Computes strongly connected components (iterative Tarjan).
     /// Returns a component id per node; ids are in reverse topological
     /// order of the condensation (standard Tarjan numbering).
-    pub fn scc(&self) -> Vec<u32> {
+    fn scc(&self) -> Vec<u32> {
         let n = self.adj.len();
         const UNSET: u32 = u32::MAX;
         let mut index = vec![UNSET; n];

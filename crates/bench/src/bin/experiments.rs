@@ -3,12 +3,17 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [all|e0|e1|e2|e3|e4|e5|e6|e7|e9]... [--quick] [--csv <dir>]
+//! experiments [all|e0|e1|e2|e3|e4|e5|e6|e7|e9]... [--quick] [--csv <dir>] [--json <file>]
 //! ```
 //!
 //! `--quick` shrinks the populations ~10x for smoke runs; `--csv <dir>`
-//! additionally writes one CSV file per table. The driver exits 1 if any
-//! check fails or any CSV file cannot be written.
+//! additionally writes one CSV file per table. E9 (the checker shoot-out)
+//! writes its landscape JSON to `--json <file>` when given; otherwise a
+//! full run writes the committed record `BENCH_checker_landscape.json` at
+//! the repo root and a `--quick` run writes no JSON at all, so smoke
+//! numbers never overwrite the record. `--json` without `e9` among the
+//! selected experiments is an argument error (exit 2). The driver exits 1
+//! if any check fails or any output file cannot be written.
 
 use std::io::Write as _;
 
@@ -22,12 +27,17 @@ struct Options {
     which: Vec<String>,
     quick: bool,
     csv_dir: Option<String>,
+    json_path: Option<String>,
 }
+
+const USAGE: &str =
+    "usage: experiments [all|e0|e1|e2|e3|e4|e5|e6|e7|e9]... [--quick] [--csv <dir>] [--json <file>]";
 
 fn parse_args() -> Options {
     let mut which = Vec::new();
     let mut quick = false;
     let mut csv_dir = None;
+    let mut json_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -38,10 +48,14 @@ fn parse_args() -> Options {
                     std::process::exit(2);
                 }))
             }
+            "--json" => {
+                json_path = Some(args.next().unwrap_or_else(|| {
+                    eprintln!("--json requires a file argument");
+                    std::process::exit(2);
+                }))
+            }
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [all|e0|e1|e2|e3|e4|e5|e6|e7|e9]... [--quick] [--csv <dir>]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other if other.starts_with('-') => {
@@ -55,7 +69,12 @@ fn parse_args() -> Options {
         which = (0..=7).map(|i| format!("e{i}")).collect();
         which.push("e9".to_string());
     }
-    Options { which, quick, csv_dir }
+    if json_path.is_some() && !which.iter().any(|w| w == "e9") {
+        eprintln!("--json writes E9's landscape, but e9 is not among the selected experiments");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    Options { which, quick, csv_dir, json_path }
 }
 
 fn emit(tables: &[Table], opts: &Options, failures: &mut Vec<String>, checks: &[(bool, String)]) {
@@ -231,11 +250,14 @@ fn main() {
             "e9" => {
                 let p = if q { landscape::Params::quick() } else { landscape::Params::default() };
                 let result = landscape::run(&p);
-                let json_path =
+                let record =
                     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checker_landscape.json");
-                if let Err(e) = std::fs::write(json_path, &result.json) {
-                    eprintln!("failed to write {json_path}: {e}");
-                    failures.push(format!("e9: could not write {json_path}"));
+                let json_path = opts.json_path.as_deref().or((!q).then_some(record));
+                if let Some(path) = json_path {
+                    if let Err(e) = std::fs::write(path, &result.json) {
+                        eprintln!("failed to write {path}: {e}");
+                        failures.push(format!("e9: could not write {path}"));
+                    }
                 }
                 let o = &result.outcome;
                 let min_programs = if q { 1_000 } else { 1_500 };

@@ -1,4 +1,4 @@
-//! E9 — the corpus-scale termination-checker shoot-out (ROADMAP item 4).
+//! E9 — the corpus-scale termination-checker shoot-out.
 //!
 //! Runs the **whole portfolio** — WA/RA via `check_with_work`, JA, aGRD,
 //! MFA via `mfa_report`, the exact linear procedure (critical-WA/RA), the

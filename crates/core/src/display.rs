@@ -51,7 +51,7 @@ pub fn atom_ref_to_string(a: AtomRef<'_>, vocab: &Vocabulary, rule: Option<&Tgd>
 }
 
 /// Renders a conjunction of atoms separated by `, `.
-pub fn conj_to_string(atoms: &[Atom], vocab: &Vocabulary, rule: Option<&Tgd>) -> String {
+fn conj_to_string(atoms: &[Atom], vocab: &Vocabulary, rule: Option<&Tgd>) -> String {
     let mut s = String::new();
     for (i, a) in atoms.iter().enumerate() {
         if i > 0 {

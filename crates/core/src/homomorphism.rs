@@ -34,7 +34,7 @@ impl Substitution {
 
     /// Makes `self` a copy of `other`, reusing the existing allocation.
     #[inline]
-    pub fn copy_from(&mut self, other: &Substitution) {
+    fn copy_from(&mut self, other: &Substitution) {
         self.slots.clear();
         self.slots.extend_from_slice(&other.slots);
     }
@@ -59,7 +59,7 @@ impl Substitution {
 
     /// Removes the binding of `v`.
     #[inline]
-    pub fn unbind(&mut self, v: VarId) {
+    fn unbind(&mut self, v: VarId) {
         self.slots[v.index()] = None;
     }
 
@@ -85,17 +85,6 @@ impl Substitution {
     /// Whether the substitution has no slots at all.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// The bindings restricted to `vars`, in the order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if one of `vars` is unbound.
-    pub fn project(&self, vars: &[VarId]) -> Vec<Term> {
-        vars.iter()
-            .map(|&v| self.slots[v.index()].expect("projected variable must be bound"))
-            .collect()
     }
 }
 
@@ -522,13 +511,5 @@ mod tests {
         assert!(instance_hom_exists(&four, &two));
         assert!(!instance_hom_exists(&two, &four));
         assert!(!hom_equivalent(&two, &four));
-    }
-
-    #[test]
-    fn projection_extracts_bound_terms() {
-        let mut s = Substitution::new(3);
-        s.bind(VarId(0), c(1));
-        s.bind(VarId(2), c(9));
-        assert_eq!(s.project(&[VarId(2), VarId(0)]), vec![c(9), c(1)]);
     }
 }

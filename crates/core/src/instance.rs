@@ -424,20 +424,6 @@ impl Instance {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
-
-    /// All distinct terms of the live atom set (order unspecified).
-    pub fn terms(&self) -> Vec<Term> {
-        let mut seen = crate::fxhash::FxHashSet::default();
-        let mut out = Vec::new();
-        for (_, atom) in self.iter() {
-            for &t in atom.args {
-                if seen.insert(t) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
 }
 
 // Instances cross threads (server jobs, seed-parallel experiments); keep
@@ -508,16 +494,6 @@ mod tests {
         assert!(fresh.0 > 5);
         let fresh2 = inst.fresh_null();
         assert_ne!(fresh, fresh2);
-    }
-
-    #[test]
-    fn terms_are_collected_once() {
-        let mut inst = Instance::new();
-        inst.insert(atom(0, vec![c(0), n(1)]));
-        inst.insert(atom(1, vec![c(0)]));
-        let mut ts = inst.terms();
-        ts.sort();
-        assert_eq!(ts, vec![c(0), n(1)]);
     }
 
     #[test]

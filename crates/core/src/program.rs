@@ -161,7 +161,6 @@ pub struct RuleBuilder {
     var_names: Vec<String>,
     body: Vec<Atom>,
     head: Vec<Atom>,
-    fresh: usize,
 }
 
 impl RuleBuilder {
@@ -178,17 +177,6 @@ impl RuleBuilder {
         let id = crate::ids::VarId::from_index(self.var_names.len());
         self.var_names.push(name.to_owned());
         Term::Var(id)
-    }
-
-    /// Creates a fresh variable distinct from all named ones.
-    pub fn fresh_var(&mut self) -> Term {
-        loop {
-            self.fresh += 1;
-            let name = format!("_G{}", self.fresh);
-            if !self.var_names.contains(&name) {
-                return self.var(&name);
-            }
-        }
     }
 
     /// Appends a body atom.
@@ -284,14 +272,6 @@ mod tests {
         r.head_atom(e, vec![Term::Const(a), Term::Const(b)]);
         p.add_rule(r.build().unwrap()).unwrap();
         assert_eq!(p.rule_constants(), vec![a, b]);
-    }
-
-    #[test]
-    fn fresh_vars_are_distinct() {
-        let mut r = RuleBuilder::new();
-        let f1 = r.fresh_var();
-        let f2 = r.fresh_var();
-        assert_ne!(f1, f2);
     }
 
     #[test]

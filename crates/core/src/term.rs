@@ -27,22 +27,10 @@ impl Term {
         !matches!(self, Term::Var(_))
     }
 
-    /// Returns `true` if the term is a variable.
-    #[inline]
-    pub fn is_var(self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// Returns `true` if the term is a labeled null.
     #[inline]
     pub fn is_null(self) -> bool {
         matches!(self, Term::Null(_))
-    }
-
-    /// Returns `true` if the term is a constant.
-    #[inline]
-    pub fn is_const(self) -> bool {
-        matches!(self, Term::Const(_))
     }
 
     /// Returns the variable id, if this is a variable.
@@ -62,15 +50,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// Returns the constant id, if this is a constant.
-    #[inline]
-    pub fn as_const(self) -> Option<ConstId> {
-        match self {
-            Term::Const(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,9 +61,7 @@ mod tests {
         assert!(Term::Const(ConstId(0)).is_ground());
         assert!(Term::Null(NullId(0)).is_ground());
         assert!(!Term::Var(VarId(0)).is_ground());
-        assert!(Term::Var(VarId(1)).is_var());
         assert!(Term::Null(NullId(1)).is_null());
-        assert!(Term::Const(ConstId(1)).is_const());
     }
 
     #[test]
@@ -92,7 +69,6 @@ mod tests {
         assert_eq!(Term::Var(VarId(7)).as_var(), Some(VarId(7)));
         assert_eq!(Term::Const(ConstId(7)).as_var(), None);
         assert_eq!(Term::Null(NullId(3)).as_null(), Some(NullId(3)));
-        assert_eq!(Term::Const(ConstId(9)).as_const(), Some(ConstId(9)));
     }
 
     #[test]

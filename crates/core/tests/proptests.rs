@@ -72,8 +72,10 @@ fn oracle_homs(
     var_count: usize,
     instance: &Instance,
 ) -> Vec<Vec<Option<Term>>> {
-    let mut universe: Vec<Term> = instance.terms();
+    let mut universe: Vec<Term> =
+        instance.iter().flat_map(|(_, atom)| atom.args.iter().copied()).collect();
     universe.sort();
+    universe.dedup();
     let mut results = Vec::new();
     let mut assignment: Vec<Option<Term>> = vec![None; var_count];
 

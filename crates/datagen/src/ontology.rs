@@ -1,5 +1,5 @@
 //! Ontology-shaped rule-set families for the corpus-scale checker
-//! shoot-out (ROADMAP item 4, experiment E9).
+//! shoot-out (experiment E9).
 //!
 //! Three families modelled on the rule sets used by the experimental
 //! studies in PAPERS.md (Calautti–Milani–Pieris; Karimi–Zhang–You):

@@ -309,7 +309,7 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Consumes the machine, returning the instance.
-    pub fn into_instance(self) -> Instance {
+    fn into_instance(self) -> Instance {
         self.instance
     }
 

@@ -52,7 +52,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
+    fn observe(&mut self, value: u64) {
         let slot = self
             .bounds
             .iter()
@@ -128,23 +128,18 @@ impl MetricsRegistry {
     }
 
     /// Adds `by` to a counter.
-    pub fn inc(&mut self, name: &str, by: u64) {
+    fn inc(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Sets a gauge.
-    pub fn set_gauge(&mut self, name: &str, value: u64) {
+    fn set_gauge(&mut self, name: &str, value: u64) {
         self.gauges.insert(name.to_string(), value);
     }
 
     /// Reads a counter (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
     }
 
     /// Reads a histogram, if present.
@@ -154,7 +149,7 @@ impl MetricsRegistry {
 
     /// Observes a value into a named histogram, creating it with `bounds`
     /// if missing.
-    pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
+    fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
         self.histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))

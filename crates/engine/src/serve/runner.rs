@@ -89,7 +89,7 @@ impl JobPaths {
     }
 
     /// The working snapshot the durable loop re-publishes every leg.
-    pub fn state_checkpoint(&self) -> PathBuf {
+    fn state_checkpoint(&self) -> PathBuf {
         self.dir.join("state.ckpt")
     }
 

@@ -98,7 +98,7 @@ impl JobResult {
 }
 
 /// Maps a persisted outcome keyword back to its [`StopReason`].
-pub fn parse_stop_keyword(s: &str) -> Option<StopReason> {
+fn parse_stop_keyword(s: &str) -> Option<StopReason> {
     [
         StopReason::Saturated,
         StopReason::Applications,
@@ -262,7 +262,7 @@ impl JobStore {
     /// *before* compaction deletes any directory, so job ids are never
     /// reused even when every `job-<n>` directory is gone — a reused id
     /// could alias a client's memory of an old job.
-    pub fn write_seq_floor(&self, next_seq: u64) -> io::Result<()> {
+    fn write_seq_floor(&self, next_seq: u64) -> io::Result<()> {
         write_snapshot_atomic(&self.seq_floor_path(), &format!("{SEQ_MAGIC}\nnext {next_seq}\n"))
     }
 

@@ -160,7 +160,7 @@ impl TraceEvent {
 
     /// Whether this is an execution event (timing-dependent; excluded
     /// from default JSONL traces).
-    pub fn is_execution(&self) -> bool {
+    fn is_execution(&self) -> bool {
         matches!(self, TraceEvent::GuardTrip { .. })
     }
 }

@@ -332,11 +332,6 @@ impl LinearAnalysis {
         self.interner.len()
     }
 
-    /// Number of shape-level rule applications.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Builds the `(shape, position)` overlay graph for a variant, together
     /// with the dense-offset table.
     fn overlay(&self, variant: ChaseVariant) -> Result<(DiGraph, Vec<usize>), LinearError> {

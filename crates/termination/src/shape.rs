@@ -12,7 +12,7 @@
 //! reachable-shape graph of `crates/termination/src/linear.rs` decides chase
 //! termination for linear rule sets.
 
-use chasekit_core::{Atom, ConstId, FxHashMap, PredId, Term};
+use chasekit_core::{ConstId, FxHashMap, PredId};
 
 /// One position's abstract content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,43 +58,9 @@ impl Shape {
         Shape { pred, labels }
     }
 
-    /// The shape of a ground atom.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the atom contains a variable.
-    pub fn of_atom(atom: &Atom) -> Shape {
-        let mut classes: FxHashMap<u32, u32> = FxHashMap::default();
-        let labels = atom
-            .args
-            .iter()
-            .map(|&t| match t {
-                Term::Const(c) => Label::Const(c),
-                Term::Null(n) => {
-                    let next = classes.len() as u32;
-                    Label::Null(*classes.entry(n.0).or_insert(next))
-                }
-                Term::Var(_) => panic!("shapes are defined on ground atoms"),
-            })
-            .collect();
-        Shape { pred: atom.pred, labels }
-    }
-
     /// Number of argument positions.
     pub fn arity(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Number of distinct null classes.
-    pub fn null_class_count(&self) -> usize {
-        self.labels
-            .iter()
-            .filter_map(|l| match l {
-                Label::Null(c) => Some(*c),
-                Label::Const(_) => None,
-            })
-            .max()
-            .map_or(0, |m| m as usize + 1)
     }
 }
 
@@ -141,35 +107,6 @@ impl ShapeInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chasekit_core::NullId;
-
-    fn c(i: u32) -> Term {
-        Term::Const(ConstId(i))
-    }
-    fn n(i: u32) -> Term {
-        Term::Null(NullId(i))
-    }
-
-    #[test]
-    fn equal_patterns_give_equal_shapes() {
-        let a = Atom::new(PredId(0), vec![c(0), n(7), n(7), n(9)]);
-        let b = Atom::new(PredId(0), vec![c(0), n(1), n(1), n(2)]);
-        assert_eq!(Shape::of_atom(&a), Shape::of_atom(&b));
-    }
-
-    #[test]
-    fn different_equality_patterns_differ() {
-        let a = Atom::new(PredId(0), vec![n(1), n(1)]);
-        let b = Atom::new(PredId(0), vec![n(1), n(2)]);
-        assert_ne!(Shape::of_atom(&a), Shape::of_atom(&b));
-    }
-
-    #[test]
-    fn different_constants_differ() {
-        let a = Atom::new(PredId(0), vec![c(0)]);
-        let b = Atom::new(PredId(0), vec![c(1)]);
-        assert_ne!(Shape::of_atom(&a), Shape::of_atom(&b));
-    }
 
     #[test]
     fn canonicalize_renumbers_by_first_occurrence() {
@@ -181,14 +118,13 @@ mod tests {
             s.labels,
             vec![Label::Null(0), Label::Const(ConstId(3)), Label::Null(1), Label::Null(0)]
         );
-        assert_eq!(s.null_class_count(), 2);
     }
 
     #[test]
     fn interner_dedups() {
         let mut i = ShapeInterner::new();
-        let s1 = Shape::of_atom(&Atom::new(PredId(0), vec![n(1), n(2)]));
-        let s2 = Shape::of_atom(&Atom::new(PredId(0), vec![n(8), n(9)]));
+        let s1 = Shape::canonicalize(PredId(0), &[Label::Null(1), Label::Null(2)]);
+        let s2 = Shape::canonicalize(PredId(0), &[Label::Null(8), Label::Null(9)]);
         let (id1, new1) = i.intern(s1);
         let (id2, new2) = i.intern(s2);
         assert_eq!(id1, id2);
@@ -198,8 +134,7 @@ mod tests {
 
     #[test]
     fn zero_arity_shape() {
-        let s = Shape::of_atom(&Atom::new(PredId(3), vec![]));
+        let s = Shape::canonicalize(PredId(3), &[]);
         assert_eq!(s.arity(), 0);
-        assert_eq!(s.null_class_count(), 0);
     }
 }

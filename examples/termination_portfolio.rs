@@ -37,7 +37,7 @@ fn main() {
     println!("{}", "-".repeat(110));
 
     // The calibration corpus plus the ontology-shaped families behind the
-    // landscape shoot-out (`chasekit bench landscape`).
+    // landscape shoot-out (`experiments e9`).
     for lp in corpus().into_iter().chain(ontology_corpus()) {
         let p = &lp.program;
         let wa = is_weakly_acyclic(p);

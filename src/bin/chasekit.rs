@@ -15,7 +15,6 @@
 //! chasekit serve     --store DIR [--addr HOST:PORT] [--workers N] [--queue N]
 //!                    [--variant o|so|restricted] [--steps N] [--timeout-ms N]
 //!                    [--max-atoms-mem BYTES] [--checkpoint-every N]
-//! chasekit bench landscape [--quick] [--json FILE]
 //! ```
 //!
 //! The rules file uses the textual format described in the README; facts in
@@ -58,7 +57,6 @@ use chasekit::prelude::*;
 const USAGE: &str = "usage: chasekit <classify|conditions|decide|explain|chase|critical> <rules-file> [options]
        chasekit update <rules-file> --edits SCRIPT [options]
        chasekit serve --store DIR [options]
-       chasekit bench landscape [--quick] [--json FILE]
 options:
   --variant o|so|restricted   chase variant (default: so)
   --steps N                   chase step budget (default: 10000)
@@ -99,9 +97,6 @@ options:
                               (default 2; 0 = one per available core)
   --queue N                   (serve) admission cap: queued+running jobs
                               beyond it are rejected as overloaded (default 16)
-  --quick                     (bench landscape) smoke-scale run
-  --json FILE                 (bench landscape) JSON output path (default:
-                              BENCH_checker_landscape.json at the repo root)
 exit codes (chase): 0 saturated, 10 applications, 11 atoms, 12 wall-clock,
                     13 memory, 14 cancelled, 15 durability I/O failure";
 
@@ -440,67 +435,7 @@ fn run_serve(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `chasekit bench landscape [--quick] [--json FILE]`: the corpus-scale
-/// termination-checker shoot-out (experiment E9). Renders the landscape
-/// tables, writes the JSON artifact, and exits non-zero if any checker
-/// contradicted the bounded-chase ground truth.
-fn run_bench(argv: &[String]) -> ExitCode {
-    use chasekit::bench::exp::landscape;
-
-    match argv.first().map(String::as_str) {
-        Some("landscape") => {}
-        Some(other) => return arg_error(format!("unknown bench subcommand `{other}`")),
-        None => return arg_error("`bench` needs a subcommand (landscape)".to_string()),
-    }
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--json" => match it.next() {
-                Some(path) => json_path = Some(path.clone()),
-                None => return arg_error("`--json` requires a value".to_string()),
-            },
-            other => return arg_error(format!("unknown bench flag `{other}`")),
-        }
-    }
-
-    let params = if quick { landscape::Params::quick() } else { landscape::Params::default() };
-    let result = landscape::run(&params);
-    for t in &result.tables {
-        println!("{}", t.render());
-    }
-    let path = json_path.unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_checker_landscape.json").to_string()
-    });
-    if let Err(e) = std::fs::write(&path, &result.json) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "landscape: {} programs, {} checkers, {} contradictions -> {path}",
-        result.outcome.programs,
-        landscape::CHECKERS.len(),
-        result.outcome.contradictions.len()
-    );
-    if result.outcome.contradictions.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for c in &result.outcome.contradictions {
-            eprintln!("contradiction: {c}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
-    // `bench` has its own tiny argv shape (subcommand + flags, no rules
-    // file); dispatch it before the rules-file argument parser.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("bench") {
-        return run_bench(&raw[1..]);
-    }
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) => return arg_error(msg),

@@ -23,9 +23,7 @@
 //!   reduction behind the lower bounds, and the future-work
 //!   restricted-chase procedure for single-head linear TGDs;
 //! * seeded workload generators ([`datagen`]) powering the experiment
-//!   suite (see `crates/bench` and EXPERIMENTS.md), and the experiment
-//!   harness itself ([`bench`](mod@bench)) including the corpus-scale checker
-//!   shoot-out (`chasekit bench landscape`).
+//!   suite (see `crates/bench` and EXPERIMENTS.md).
 //!
 //! ## Quickstart
 //!
@@ -52,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub use chasekit_acyclicity as acyclicity;
-pub use chasekit_bench as bench;
 pub use chasekit_core as core;
 pub use chasekit_datagen as datagen;
 pub use chasekit_engine as engine;

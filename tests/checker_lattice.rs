@@ -19,14 +19,14 @@
 //!   both commit;
 //! * and nothing any checker claims may contradict what the chase engine
 //!   actually does on the critical instance (bounded, with a generous
-//!   budget — see `chasekit::bench::truth`).
+//!   budget — see `chasekit_bench::truth`).
 
 use proptest::prelude::*;
 
 use chasekit::acyclicity::{
     is_grd_acyclic, is_jointly_acyclic, is_richly_acyclic, is_weakly_acyclic,
 };
-use chasekit::bench::truth::{critical_chase_truth, ChaseTruth};
+use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
 use chasekit::datagen::{
     critical_constants, dl_lite_r, lubm, ontology_corpus, random_mixed, RandomConfig,
 };

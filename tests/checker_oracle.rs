@@ -23,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use chasekit::bench::truth::{critical_chase_truth, ChaseTruth};
+use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
 use chasekit::datagen::{corpus, ontology_corpus};
 use chasekit::prelude::*;
 use chasekit::termination::{mfa_status, MfaStatus};

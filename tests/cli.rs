@@ -197,6 +197,28 @@ fn unknown_command_is_named_in_the_error() {
 }
 
 #[test]
+fn bench_is_an_unknown_command_and_writes_nothing() {
+    // E9 runs only through the `experiments` driver; the CLI has no
+    // `bench` subcommand that could overwrite the committed record.
+    let cwd = std::env::temp_dir().join(format!("chasekit-cli-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let record =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_checker_landscape.json");
+    let before = std::fs::read(&record).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_chasekit"))
+        .args(["bench", "landscape", "--quick"])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command `bench`"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "bench wrote into its directory");
+    assert_eq!(std::fs::read(&record).unwrap(), before, "bench rewrote the landscape record");
+    std::fs::remove_dir(&cwd).unwrap();
+}
+
+#[test]
 fn exhausted_step_budget_exits_10() {
     let path = write_rules("diverge.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
     let (stdout, _, code) = run(&["chase", path.to_str().unwrap(), "--steps", "25"]);
