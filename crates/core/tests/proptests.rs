@@ -368,20 +368,25 @@ proptest! {
         prop_assert_eq!(instance.len(), slab);
     }
 
-    /// DRed retraction never strands a survivor. After chasing a random
-    /// database and retracting random base facts, every live atom without
-    /// a DAG creator is a surviving base fact, every surviving base fact is
-    /// still live, and the engine's `check_support` audit (live parents,
-    /// acyclic derivations) passes — under all three chase variants, both
-    /// right after the retractions and after the completion chase drains
-    /// any re-opened work.
+    /// DRed retraction never strands a survivor and loses nothing. After
+    /// chasing a random database and retracting random base facts, every
+    /// live atom without a DAG creator is a surviving base fact, every
+    /// surviving base fact is still live, and the engine's `check_support`
+    /// audit (live parents, acyclic derivations) passes — under all three
+    /// chase variants, both right after the retractions and after the
+    /// completion chase drains re-admitted work. After completion the
+    /// machine also equals a from-scratch chase of the edited base.
     #[test]
     fn retraction_leaves_no_unsupported_survivors(
         p_facts in proptest::collection::vec((0u32..3, 0u32..3), 1..6),
         q_facts in proptest::collection::vec(0u32..3, 0..3),
         kills in proptest::collection::vec(0usize..1024, 1..4),
     ) {
-        use chasekit_engine::{check_support, Budget, ChaseConfig, ChaseMachine, ChaseVariant};
+        use chasekit_core::hom_equivalent;
+        use chasekit_engine::{
+            canonical_form, check_support, edited_program, is_model, Budget, ChaseConfig,
+            ChaseMachine, ChaseVariant, Edit,
+        };
 
         // q(Y) is both derivable and (sometimes) a base fact, so kills can
         // exercise the restoration path; the existential keeps nulls in
@@ -455,8 +460,37 @@ proptest! {
                 }
                 if phase == "after retraction" {
                     let total = machine.stats().applications + 2_000;
-                    machine.run(&Budget::applications(total));
+                    prop_assert!(machine.run(&Budget::applications(total)).is_saturated());
                 }
+            }
+
+            // Completeness: the repaired machine equals a from-scratch
+            // chase of the edited base. `p(X, Y) -> q(Y)` gives bodies with
+            // one frontier image, so this fails if repair re-derives only
+            // through the body match that fired first.
+            let edits: Vec<Edit> = tried.iter().cloned().map(Edit::Retract).collect();
+            let edited = edited_program(&program, &edits);
+            let mut reference = ChaseMachine::new(
+                &edited,
+                cfg,
+                Instance::from_atoms(edited.facts().iter().cloned()),
+            );
+            prop_assert!(reference.run(&Budget::applications(2_000)).is_saturated());
+            if variant == ChaseVariant::Restricted {
+                prop_assert!(
+                    is_model(&edited, machine.instance()),
+                    "restricted repair is not a model of the edited base"
+                );
+                prop_assert!(
+                    hom_equivalent(machine.instance(), reference.instance()),
+                    "restricted repair is not hom-equivalent to a from-scratch chase"
+                );
+            } else {
+                prop_assert_eq!(
+                    canonical_form(machine.instance(), machine.derivation()),
+                    canonical_form(reference.instance(), reference.derivation()),
+                    "{variant:?}: repair differs from a from-scratch chase"
+                );
             }
         }
     }

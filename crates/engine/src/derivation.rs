@@ -74,8 +74,8 @@ impl DerivationDag {
     }
 
     /// Rebuilds a DAG from surviving applications (ascending `seq`),
-    /// recomputing every index. Used by retraction repair, which rewrites
-    /// atom ids and drops dead applications wholesale.
+    /// recomputing every index. Used by retraction repair, which drops the
+    /// cone's applications wholesale.
     pub fn from_applications(apps: Vec<Application>) -> Self {
         let mut dag = DerivationDag::new();
         for mut app in apps {

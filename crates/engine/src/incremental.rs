@@ -9,30 +9,18 @@
 //! - **Retractions** follow delete-and-rederive (DRed). Retracting a base
 //!   fact computes its *derivation cone* — every application transitively
 //!   consuming it and every atom those applications first created — via
-//!   [`DerivationDag::cone_of`], tombstones the cone in the instance
-//!   ([`Instance::retract`]), and then re-derives survivors: an application
-//!   in the cone whose body image still exists (through atoms outside the
-//!   cone, or atoms restored earlier in the replay) is re-fired with its
-//!   original nulls, so surviving derivations keep their Skolem identity.
-//!   Applications with no surviving support are dropped, their trigger
-//!   identities are released so future additions can re-admit them, and the
-//!   DAG is rebuilt from the surviving applications.
-//!
-//! Two properties make the replay exact rather than a fixpoint guess:
-//!
-//! 1. Re-fired applications insert their **full head image**, not just the
-//!    atoms they originally produced. An atom that was recorded as a
-//!    duplicate at first firing (some earlier application produced it) may
-//!    have lost that earlier creator; the re-firing application adopts it.
-//! 2. Live applications are scanned for head atoms lost to the cone: their
-//!    bodies are intact by construction, so any missing head content is
-//!    restored unconditionally. This covers the case where the retracted
-//!    fact itself (or a cone atom) is independently derivable — exactly the
-//!    "re-derivation" half of DRed.
-//!
-//! The replay iterates to a fixpoint (a later application's head image can
-//!    restore an earlier application's support), which terminates because
-//! every pass either re-fires an application or stops.
+//!   [`DerivationDag::cone_of`] and tombstones the cone in the instance
+//!   ([`Instance::retract`]). Applications outside the cone keep their
+//!   bodies, so their head atoms lost to the cone are restored with their
+//!   original nulls. Rederivation then goes through the chase itself: a
+//!   trigger is identified by its rule and key (the frontier image, or the
+//!   whole universal image for the oblivious chase), not by one body
+//!   match, so every identity whose body image died — a cone application,
+//!   a pending trigger, a restricted skip — is released and re-admitted if
+//!   *any* body match with the same key survives. The cone applications
+//!   leave the DAG, and the completion chase re-fires what was re-admitted
+//!   with fresh nulls, while its delta matching finds the matches that
+//!   only those re-fires enable.
 //!
 //! **Variant semantics.** For the oblivious and semi-oblivious chase the
 //! updated machine is equivalent to a from-scratch chase of the edited
@@ -49,11 +37,14 @@
 //! bit-identical to a from-scratch run by construction and is what the
 //! differential tests pin down.
 
+use std::ops::ControlFlow;
+
 use chasekit_core::{
-    Atom, AtomId, FxHashMap, FxHashSet, Instance, NullId, PredId, Program, Term, Tgd,
+    exists_extension_scratch, for_each_hom_scratch, Atom, AtomId, FxHashMap, FxHashSet, Instance,
+    NullId, PredId, Program, Substitution, Term, Tgd,
 };
 
-use crate::chase::ChaseMachine;
+use crate::chase::{ChaseMachine, Trigger};
 use crate::derivation::{Application, DerivationDag};
 use crate::guard::{
     approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, StopReason,
@@ -117,14 +108,17 @@ pub struct RetractOutcome {
     pub missing: bool,
     /// Atoms tombstoned, including the base fact itself.
     pub overdeleted: usize,
-    /// Applications in the cone that lost their support for good.
+    /// Applications in the cone whose trigger no surviving body match
+    /// re-admits.
     pub invalidated_apps: usize,
-    /// Applications in the cone re-fired with surviving support.
+    /// Applications in the cone whose trigger a surviving body match
+    /// re-admits; the completion chase re-fires them.
     pub rederived_apps: usize,
-    /// Atoms restored by re-firing and live-head completion.
+    /// Head atoms of applications outside the cone restored after the
+    /// overdeletion.
     pub restored_atoms: usize,
-    /// Restricted only: recorded satisfied-skips re-opened because their
-    /// witness died.
+    /// Restricted only: recorded satisfied-skips whose body or witness
+    /// died and that a surviving body match re-admits.
     pub reopened_skips: usize,
 }
 
@@ -141,9 +135,9 @@ pub struct UpdateReport {
     pub missing_retracts: usize,
     /// Total atoms tombstoned across all retractions.
     pub overdeleted: usize,
-    /// Total applications permanently invalidated.
+    /// Total cone applications that no surviving body match re-admitted.
     pub invalidated_apps: usize,
-    /// Total applications re-fired during repair.
+    /// Total cone applications re-admitted for re-firing.
     pub rederived_apps: usize,
     /// Total atoms restored during repair.
     pub restored_atoms: usize,
@@ -179,11 +173,13 @@ impl<'p> ChaseMachine<'p> {
         Ok(true)
     }
 
-    /// Retracts a base fact, deleting its derivation cone and re-deriving
-    /// everything with surviving support (DRed). Leaves the machine in a
-    /// consistent mid-run state; the pending queue may be non-empty (e.g.
-    /// re-opened restricted skips) — [`apply_edits`](Self::apply_edits)
-    /// runs the completion chase.
+    /// Retracts a base fact with DRed repair: deletes its derivation cone,
+    /// restores the heads of applications outside it, and re-admits every
+    /// trigger identity that lost its body image if another body match
+    /// with the same identity survives. Leaves the machine in a consistent
+    /// mid-run state with the re-admitted triggers pending;
+    /// [`apply_edits`](Self::apply_edits) runs the completion chase that
+    /// re-fires them.
     ///
     /// Retracting an absent content is a lenient no-op (reported via
     /// [`RetractOutcome::missing`]); retracting a *derived* atom is an
@@ -214,192 +210,93 @@ impl<'p> ChaseMachine<'p> {
         }
         let dead_set: FxHashSet<usize> = dead_apps.iter().copied().collect();
 
-        // Phase 2: live-head completion. A live application's body is
-        // intact (its parents are outside the cone by construction), so any
-        // of its head contents lost to the cone is restored outright. This
-        // is what lets an independently-derivable content — including the
-        // retracted fact itself — survive the retraction as derived.
-        let mut live_extra: FxHashMap<usize, Vec<AtomId>> = FxHashMap::default();
-        let mut missing: Vec<(usize, PredId, Vec<Term>)> = Vec::new();
+        // Phase 2: split the DAG. A live application's body is intact (its
+        // parents are outside the cone by construction), so any of its head
+        // contents lost to the cone is restored outright, with its original
+        // nulls. This is what lets an independently-derivable content —
+        // including the retracted fact itself — survive the retraction as
+        // derived. Only rules with a head predicate of a deleted atom can
+        // have lost one. Cone applications are dropped, keeping their
+        // trigger identities for phase 3; their nulls die with them.
+        let lost: FxHashSet<PredId> = std::iter::once(root)
+            .chain(dead_atoms.iter().copied())
+            .map(|id| self.instance.atom(id).pred)
+            .collect();
+        let may_lose: Vec<bool> = self
+            .program
+            .rules()
+            .iter()
+            .map(|r| r.head().iter().any(|a| lost.contains(&a.pred)))
+            .collect();
+        let mut survivors: Vec<Application> = Vec::with_capacity(
+            self.derivation.applications().len() - dead_set.len(),
+        );
+        let mut released: Vec<(usize, Vec<Term>)> = Vec::with_capacity(dead_set.len());
         for (idx, app) in self.derivation.applications().iter().enumerate() {
             if dead_set.contains(&idx) {
+                released.push((app.rule, app.key.clone()));
+                for n in &app.born_nulls {
+                    self.skolem.remove(n);
+                }
                 continue;
             }
-            let rule = &self.program.rules()[app.rule];
-            for (pred, args) in head_images(rule, app) {
-                if self.instance.id_of_parts(pred, &args).is_none() {
-                    missing.push((idx, pred, args));
-                }
-            }
-        }
-        for (idx, pred, args) in missing {
-            let (id, fresh) = self.instance.insert_terms(pred, &args);
-            if fresh {
-                out.restored_atoms += 1;
-                self.approx_bytes += approx_atom_bytes(args.len());
-                live_extra.entry(idx).or_default().push(id);
-            }
-        }
-
-        // Phase 3: replay the cone to a fixpoint, ascending seq order. An
-        // application re-fires iff every parent's *content* is present
-        // (original live atoms, or atoms restored earlier in the replay);
-        // re-firing reuses the original nulls, so surviving derivations
-        // keep their identity. Later passes can succeed where earlier ones
-        // failed — a re-fired application's full head image may restore a
-        // content some earlier application depends on.
-        let mut pending_dead: Vec<usize> = dead_apps;
-        let mut refired: FxHashMap<usize, Application> = FxHashMap::default();
-        loop {
-            let mut progressed = false;
-            let mut still: Vec<usize> = Vec::new();
-            for &idx in &pending_dead {
-                let app = self.derivation.app(idx);
-                let parents_now: Option<Vec<AtomId>> = app
-                    .parents
-                    .iter()
-                    .map(|&p| {
-                        let content = self.instance.atom(p);
-                        self.instance.id_of_parts(content.pred, content.args)
-                    })
-                    .collect();
-                let Some(parents) = parents_now else {
-                    still.push(idx);
-                    continue;
-                };
-                let rule = &self.program.rules()[app.rule];
-                let primary = rule.guard_index().and_then(|g| parents.get(g).copied());
-                let primary = primary.or_else(|| parents.first().copied());
-                let mut new_app = Application {
-                    rule: app.rule,
-                    seq: app.seq,
-                    parents,
-                    primary_parent: primary,
-                    frontier: app.frontier.clone(),
-                    key: app.key.clone(),
-                    born_nulls: app.born_nulls.clone(),
-                    produced: Vec::new(),
-                };
-                let images = head_images(rule, app);
-                for (pred, args) in images {
+            let mut app = app.clone();
+            if may_lose[app.rule] {
+                for (pred, args) in head_images(&self.program.rules()[app.rule], &app) {
                     let (id, fresh) = self.instance.insert_terms(pred, &args);
                     if fresh {
                         out.restored_atoms += 1;
                         self.approx_bytes += approx_atom_bytes(args.len());
-                        new_app.produced.push(id);
+                        app.produced.push(id);
                     }
                 }
-                refired.insert(idx, new_app);
+            }
+            survivors.push(app);
+        }
+        self.derivation = DerivationDag::from_applications(survivors);
+
+        // Phase 3: every trigger identity whose body image lost an atom is
+        // released and re-admitted through a surviving body match, if one
+        // exists: the cone's applications, pending triggers, and recorded
+        // restricted skips whose body or satisfaction witness died. Body
+        // images are checked by content, so a trigger over restored atoms
+        // stays as it is.
+        for (rule, key) in released {
+            if self.release_and_readmit(rule, key) {
                 out.rederived_apps += 1;
-                progressed = true;
-            }
-            pending_dead = still;
-            if !progressed || pending_dead.is_empty() {
-                break;
-            }
-        }
-
-        // Phase 4: permanently dead applications release their trigger
-        // identity (a future addition may legitimately re-admit the same
-        // match) and their Skolem records.
-        for &idx in &pending_dead {
-            let app = self.derivation.app(idx);
-            let key_len = app.key.len();
-            let entry = (app.rule as u32, app.key.clone());
-            let born = app.born_nulls.clone();
-            if self.seen.remove(&entry) {
-                self.approx_bytes =
-                    self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
-            }
-            if self.config.track_skolem {
-                for n in born {
-                    self.skolem.remove(&n);
-                }
-            }
-            out.invalidated_apps += 1;
-        }
-        let forever_dead: FxHashSet<usize> = pending_dead.iter().copied().collect();
-
-        // Phase 5: rebuild the DAG from survivors, original seq order.
-        // Live applications keep their atom ids verbatim (their parents and
-        // products are outside the cone); re-fired ones carry re-resolved
-        // ids; permanently dead ones vanish.
-        let mut merged: Vec<Application> =
-            Vec::with_capacity(self.derivation.applications().len() - forever_dead.len());
-        for (idx, app) in self.derivation.applications().iter().enumerate() {
-            if let Some(new_app) = refired.remove(&idx) {
-                merged.push(new_app);
-            } else if !forever_dead.contains(&idx) {
-                let mut a = app.clone();
-                if let Some(extra) = live_extra.remove(&idx) {
-                    a.produced.extend(extra);
-                }
-                merged.push(a);
-            }
-        }
-        self.derivation = DerivationDag::from_applications(merged);
-
-        // Phase 6: queue repair. Pending triggers whose body image lost an
-        // atom are dropped and their identities released; body images are
-        // checked by content, so a trigger over restored atoms survives.
-        let queue = std::mem::take(&mut self.queue);
-        for t in queue {
-            let rule = &self.program.rules()[t.rule];
-            let holds = rule.body().iter().all(|a| self.instance.contains(&t.subst.apply_atom(a)));
-            if holds {
-                self.queue.push_back(t);
             } else {
-                self.approx_bytes =
-                    self.approx_bytes.saturating_sub(approx_trigger_bytes(t.subst.len()));
-                let key = self.config.variant.trigger_key(rule, &t.subst);
-                let key_len = key.len();
-                if self.seen.remove(&(t.rule as u32, key)) {
-                    self.approx_bytes =
-                        self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
-                }
+                out.invalidated_apps += 1;
             }
         }
-
-        // Phase 7 (restricted only): re-open recorded satisfied-skips whose
-        // witness died. A skip whose body also died is forgotten entirely —
-        // its identity is released like any other dead match.
-        if self.config.variant.checks_satisfaction() {
-            let skips = std::mem::take(&mut self.skipped);
-            for t in skips {
-                let rule = &self.program.rules()[t.rule];
-                let body_holds =
-                    rule.body().iter().all(|a| self.instance.contains(&t.subst.apply_atom(a)));
-                self.approx_bytes =
-                    self.approx_bytes.saturating_sub(approx_trigger_bytes(t.subst.len()));
-                if !body_holds {
-                    let key = self.config.variant.trigger_key(rule, &t.subst);
-                    let key_len = key.len();
-                    if self.seen.remove(&(t.rule as u32, key)) {
-                        self.approx_bytes =
-                            self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
-                    }
-                    continue;
-                }
-                let satisfied = chasekit_core::exists_extension_scratch(
+        for t in std::mem::take(&mut self.queue) {
+            if self.body_holds(&t) {
+                self.queue.push_back(t);
+                continue;
+            }
+            self.approx_bytes =
+                self.approx_bytes.saturating_sub(approx_trigger_bytes(t.subst.len()));
+            let key = self.config.variant.trigger_key(&self.program.rules()[t.rule], &t.subst);
+            self.release_and_readmit(t.rule, key);
+        }
+        for t in std::mem::take(&mut self.skipped) {
+            let rule = &self.program.rules()[t.rule];
+            if self.body_holds(&t)
+                && exists_extension_scratch(
                     rule.head(),
                     rule.var_count(),
                     &self.instance,
                     &t.subst,
                     &mut self.scratch,
-                );
-                if satisfied {
-                    self.approx_bytes += approx_trigger_bytes(t.subst.len());
-                    self.skipped.push(t);
-                } else {
-                    let key = self.config.variant.trigger_key(rule, &t.subst);
-                    let key_len = key.len();
-                    if self.seen.remove(&(t.rule as u32, key)) {
-                        self.approx_bytes =
-                            self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
-                    }
-                    self.admit_trigger(t.rule, t.subst);
-                    out.reopened_skips += 1;
-                }
+                )
+            {
+                self.skipped.push(t);
+                continue;
+            }
+            self.approx_bytes =
+                self.approx_bytes.saturating_sub(approx_trigger_bytes(t.subst.len()));
+            let key = self.config.variant.trigger_key(rule, &t.subst);
+            if self.release_and_readmit(t.rule, key) {
+                out.reopened_skips += 1;
             }
         }
 
@@ -407,6 +304,49 @@ impl<'p> ChaseMachine<'p> {
             t.note(TraceEvent::Rederive { apps: out.rederived_apps, atoms: out.restored_atoms });
         }
         Ok(out)
+    }
+
+    /// Whether every body atom of a recorded trigger is present by content.
+    fn body_holds(&self, t: &Trigger) -> bool {
+        let body = self.program.rules()[t.rule].body();
+        body.iter().all(|a| self.instance.contains(&t.subst.apply_atom(a)))
+    }
+
+    /// Releases the trigger identity `(rule_idx, key)`, then searches the
+    /// instance for a body match with that key and, if one exists, admits
+    /// it through [`admit_trigger`](Self::admit_trigger). Returns whether
+    /// it did. An identity left free is claimed by delta matching once an
+    /// insertion enables a match for it.
+    fn release_and_readmit(&mut self, rule_idx: usize, key: Vec<Term>) -> bool {
+        let rule = &self.program.rules()[rule_idx];
+        let mut seed = Substitution::new(rule.var_count());
+        for (&v, &t) in self.config.variant.key_vars(rule).iter().zip(&key) {
+            seed.bind(v, t);
+        }
+        let key_len = key.len();
+        if self.seen.remove(&(rule_idx as u32, key)) {
+            self.approx_bytes = self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
+        }
+        let mut found = None;
+        for_each_hom_scratch(
+            rule.body(),
+            rule.var_count(),
+            &self.instance,
+            Some(&seed),
+            None,
+            &mut self.scratch,
+            &mut |s| {
+                found = Some(s.clone());
+                ControlFlow::Break(())
+            },
+        );
+        match found {
+            Some(subst) => {
+                self.admit_trigger(rule_idx, subst);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Applies an edit script in order, then runs the completion chase.
@@ -770,6 +710,42 @@ mod tests {
         let reference =
             scratch_canonical(&edited_program(&p, &edits), ChaseVariant::SemiOblivious);
         assert_eq!(canonical_form(m.instance(), m.derivation()), reference);
+    }
+
+    #[test]
+    fn retraction_readmits_a_deduped_body_match() {
+        // Under so and restricted, `a(k, u)` and `a(k, v)` match one
+        // trigger (frontier image `k`): the first match fires, the second
+        // is deduped. Retracting either fact must leave `b(k, _)`, derived
+        // through the other match.
+        let text = "a(X, Y) -> b(X, Z).\na(k, u). a(k, v).\n";
+        for target in ["a(k, u)", "a(k, v)"] {
+            for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
+                let mut p = Program::parse(text).unwrap();
+                let edits = parse_edit_script(&format!("retract {target}."), &mut p).unwrap();
+                let mut m = machine(&p, variant);
+                assert!(m.run(&Budget::unlimited()).is_saturated());
+                let report = m.apply_edits(&edits, &Budget::unlimited()).unwrap();
+                assert!(report.outcome.is_saturated());
+                check_support(m.instance(), m.derivation()).unwrap();
+                let ep = edited_program(&p, &edits);
+                if variant == ChaseVariant::Restricted {
+                    let mut reference = machine(&ep, variant);
+                    assert!(reference.run(&Budget::unlimited()).is_saturated());
+                    assert!(is_model(&ep, m.instance()), "retract {target}: not a model");
+                    assert!(
+                        chasekit_core::hom_equivalent(m.instance(), reference.instance()),
+                        "retract {target}: not hom-equivalent to a from-scratch chase"
+                    );
+                } else {
+                    assert_eq!(
+                        canonical_form(m.instance(), m.derivation()),
+                        scratch_canonical(&ep, variant),
+                        "retract {target}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

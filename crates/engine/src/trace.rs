@@ -121,12 +121,13 @@ pub enum TraceEvent {
         /// Applications invalidated (their matches touched the cone).
         apps: usize,
     },
-    /// Lifecycle: the delete-and-rederive pass restored cone members that
-    /// still have live support.
+    /// Lifecycle: the delete-and-rederive pass re-admitted the cone's
+    /// triggers that still have a body match and restored the heads of
+    /// applications outside the cone.
     Rederive {
-        /// Applications re-fired from surviving support.
+        /// Cone applications whose trigger was re-admitted.
         apps: usize,
-        /// Atoms the re-fired applications restored.
+        /// Head atoms of applications outside the cone restored.
         atoms: usize,
     },
     /// Lifecycle: an edit script was applied to the machine.

@@ -1,6 +1,8 @@
 //! Chase variants and their trigger-identity semantics.
 
-use chasekit_core::{Substitution, Term, Tgd};
+use std::borrow::Cow;
+
+use chasekit_core::{Substitution, Term, Tgd, VarId};
 
 /// The chase variant, which determines when two triggers for the same rule
 /// are considered "the same" (and hence applied only once), and whether a
@@ -30,19 +32,21 @@ impl ChaseVariant {
     /// Computes a trigger's identity key: the projection of the substitution
     /// onto the variables that distinguish triggers under this variant.
     pub fn trigger_key(self, rule: &Tgd, subst: &Substitution) -> Vec<Term> {
+        self.key_vars(rule)
+            .iter()
+            .map(|&v| subst.get(v).expect("key variables are universal, so bound"))
+            .collect()
+    }
+
+    /// The variables a trigger key projects onto, in key order: all
+    /// universal variables (ascending) for the oblivious chase, the
+    /// frontier for the others.
+    pub(crate) fn key_vars(self, rule: &Tgd) -> Cow<'_, [VarId]> {
         match self {
-            ChaseVariant::Oblivious => {
-                // All universal variables, in ascending id order.
-                rule.universals()
-                    .iter()
-                    .map(|&v| subst.get(v).expect("universal variable must be bound"))
-                    .collect()
+            ChaseVariant::Oblivious => Cow::Owned(rule.universals()),
+            ChaseVariant::SemiOblivious | ChaseVariant::Restricted => {
+                Cow::Borrowed(rule.frontier())
             }
-            ChaseVariant::SemiOblivious | ChaseVariant::Restricted => rule
-                .frontier()
-                .iter()
-                .map(|&v| subst.get(v).expect("frontier variable must be bound"))
-                .collect(),
         }
     }
 

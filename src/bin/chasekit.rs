@@ -84,8 +84,10 @@ options:
                               `retract <atom>.` per line, `%` comments.
                               The chase runs to the --steps budget, the
                               script is applied incrementally (DRed
-                              retraction over the derivation DAG), and a
-                              completion chase gets --steps more
+                              retraction over the derivation DAG, which
+                              re-admits triggers with a surviving body
+                              match), and a completion chase gets
+                              --steps more and re-fires them
   --store DIR                 (serve) job-store root; in-flight jobs found
                               there at startup are recovered and completed
   --keep-completed N          (serve) store compaction: retain at most N
@@ -746,7 +748,7 @@ fn main() -> ExitCode {
             );
             println!(
                 "repair: {} atoms overdeleted, {} applications invalidated, \
-                 {} re-fired, {} atoms restored, {} skips reopened",
+                 {} re-admitted, {} atoms restored, {} skips re-admitted",
                 report.overdeleted,
                 report.invalidated_apps,
                 report.rederived_apps,

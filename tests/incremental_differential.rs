@@ -15,15 +15,18 @@
 //! constants — and go through the textual `parse_edit_script` path, so
 //! the script format itself is under test. Inputs: the paper's worked
 //! examples, every datagen family (random facts attached when a family
-//! has none), and random guarded programs over random databases.
+//! has none), and random guarded programs over random databases. A
+//! second corpus runs at the benchmark's update scale: 300 facts per
+//! program and 48 edits, checked after every edit.
 
 use chasekit::core::display::atom_to_string;
 use chasekit::core::hom_equivalent;
 use chasekit::datagen::database::{random_database, DbConfig};
+use chasekit::datagen::ontology::{dl_lite_r, lubm};
 use chasekit::datagen::random::{random_guarded, RandomConfig};
 use chasekit::engine::{
     canonical_form, check_support, edited_program, is_model, parse_edit_script, ChaseConfig,
-    ChaseMachine,
+    ChaseMachine, Edit,
 };
 use chasekit::prelude::*;
 
@@ -245,6 +248,91 @@ fn edit_scripts_compose_edit_by_edit() {
                 canonical_form(stepwise.instance(), stepwise.derivation()),
                 "{name} {variant:?}: batch and stepwise edits diverge"
             );
+        }
+    }
+}
+
+/// `program` with a seeded random database of 300 facts over 60 constants.
+fn with_benchmark_facts(mut program: Program, seed: u64) -> Program {
+    let db = random_database(&mut program, &DbConfig { facts: 300, constants: 60 }, seed);
+    for (_, atom) in db.iter() {
+        program.add_fact(atom.to_atom()).unwrap();
+    }
+    program
+}
+
+/// `len` edits alternating a retract of a current base fact with an add
+/// that copies an original fact with one argument replaced by a fresh
+/// constant.
+fn alternating_script(program: &mut Program, len: usize, seed: u64) -> Vec<Edit> {
+    let originals: Vec<Atom> = program.facts().to_vec();
+    let mut base = originals.clone();
+    let mut rng = XorShift(seed);
+    let mut script = Vec::with_capacity(len);
+    for k in 0..len {
+        if k % 2 == 0 && !base.is_empty() {
+            script.push(Edit::Retract(base.swap_remove(rng.pick(base.len()))));
+        } else {
+            let template = &originals[rng.pick(originals.len())];
+            let mut args = template.args.clone();
+            let at = rng.pick(args.len());
+            args[at] = Term::Const(program.vocab.intern_const(&format!("fresh{k}")));
+            let atom = Atom::new(template.pred, args);
+            base.push(atom.clone());
+            script.push(Edit::Add(atom));
+        }
+    }
+    script
+}
+
+/// The differential at the size of the benchmark's `update-edits`
+/// workload: two DL-Lite_R, two LUBM and two random guarded programs, each
+/// over 300 facts, run through 48 alternating retracts and adds under all
+/// three variants, and compared with a from-scratch chase after every
+/// edit. The seeds are ones whose every variant saturates, and a repair
+/// that re-derives a trigger only through the body match that first fired
+/// diverges on each of them under so and restricted.
+#[test]
+fn repair_matches_from_scratch_at_benchmark_scale() {
+    const LIMIT: u64 = 20_000;
+    let programs = [
+        ("dl-lite-r-1", dl_lite_r(6, 1).program, 1),
+        ("dl-lite-r-2", dl_lite_r(6, 2).program, 2),
+        ("lubm-1", lubm(6, 1).program, 1),
+        ("lubm-12", lubm(6, 12).program, 12),
+        ("random-guarded-11", random_guarded(&RandomConfig::default(), 11), 11),
+        ("random-guarded-12", random_guarded(&RandomConfig::default(), 12), 12),
+    ];
+    for (name, rules, seed) in programs {
+        let mut program = with_benchmark_facts(rules, seed);
+        let script = alternating_script(&mut program, 48, seed);
+        for variant in VARIANTS {
+            let cfg = ChaseConfig::of(variant).with_derivation();
+            let initial = Instance::from_atoms(program.facts().iter().cloned());
+            let mut live = ChaseMachine::new(&program, cfg, initial);
+            assert!(live.run(&Budget::applications(LIMIT)).is_saturated(), "{name} {variant}");
+            for (i, edit) in script.iter().enumerate() {
+                let budget = Budget::applications(live.stats().applications + LIMIT);
+                let report = live.apply_edits(std::slice::from_ref(edit), &budget).unwrap();
+                assert!(report.outcome.is_saturated(), "{name} {variant} edit {i}");
+                check_support(live.instance(), live.derivation())
+                    .unwrap_or_else(|e| panic!("{name} {variant} edit {i}: {e}"));
+                let edited = edited_program(&program, &script[..=i]);
+                let initial = Instance::from_atoms(edited.facts().iter().cloned());
+                let mut scratch = ChaseMachine::new(&edited, cfg, initial);
+                assert!(scratch.run(&Budget::applications(LIMIT)).is_saturated());
+                let same = match variant {
+                    ChaseVariant::Restricted => {
+                        is_model(&edited, live.instance())
+                            && hom_equivalent(live.instance(), scratch.instance())
+                    }
+                    _ => {
+                        canonical_form(live.instance(), live.derivation())
+                            == canonical_form(scratch.instance(), scratch.derivation())
+                    }
+                };
+                assert!(same, "{name} {variant}: repair differs from a rebuild after edit {i}");
+            }
         }
     }
 }
