@@ -67,7 +67,12 @@ fn joinable(a: HeadTerm, b: HeadTerm) -> bool {
 /// Whether `head` (an atom of `σ`'s head) is compatible with `body` (an atom
 /// of `τ`'s body): some instantiation of `σ`'s universals makes the head
 /// image match the body pattern.
-fn compatible(sigma: &Tgd, head: &chasekit_core::Atom, tau: &Tgd, body: &chasekit_core::Atom) -> bool {
+fn compatible(
+    sigma: &Tgd,
+    head: &chasekit_core::Atom,
+    tau: &Tgd,
+    body: &chasekit_core::Atom,
+) -> bool {
     if head.pred != body.pred {
         return false;
     }
@@ -107,9 +112,10 @@ pub fn rule_dependency_graph(program: &Program) -> DiGraph {
     let mut g = DiGraph::new(rules.len());
     for (si, sigma) in rules.iter().enumerate() {
         for (ti, tau) in rules.iter().enumerate() {
-            let depends = sigma.head().iter().any(|h| {
-                tau.body().iter().any(|b| compatible(sigma, h, tau, b))
-            });
+            let depends = sigma
+                .head()
+                .iter()
+                .any(|h| tau.body().iter().any(|b| compatible(sigma, h, tau, b)));
             if depends {
                 g.add_edge(si, ti, false);
             }

@@ -27,8 +27,8 @@ pub mod joint;
 pub mod position;
 
 pub use depgraph::{
-    check, check_with_work, dependency_graph, is_richly_acyclic, is_weakly_acyclic,
-    Acyclicity, GraphKind, GraphWork,
+    check, check_with_work, dependency_graph, is_richly_acyclic, is_weakly_acyclic, Acyclicity,
+    GraphKind, GraphWork,
 };
 pub use graph::DiGraph;
 pub use grd::{is_grd_acyclic, rule_dependency_graph};

@@ -154,10 +154,7 @@ fn main() {
                             o.gap_misclassified == 0,
                             "Theorem 2: gap family classified correctly".into(),
                         ),
-                        (
-                            o.wa_wrong > 0,
-                            "Theorem 2: WA is strictly weaker on linear rules".into(),
-                        ),
+                        (o.wa_wrong > 0, "Theorem 2: WA is strictly weaker on linear rules".into()),
                     ],
                 );
             }

@@ -16,19 +16,14 @@ pub fn run(steps: u64) -> Table {
         &["example", "variant", "outcome", "applications", "atoms", "nulls"],
     );
     let examples = [
-        (
-            "Example 1 (person/hasFather)",
-            "person(bob). person(X) -> hasFather(X, Y), person(Y).",
-        ),
+        ("Example 1 (person/hasFather)", "person(bob). person(X) -> hasFather(X, Y), person(Y)."),
         ("Example 2 (p-path)", "p(a, b). p(X, Y) -> p(Y, Z)."),
     ];
     for (name, src) in examples {
         let program = Program::parse(src).expect("example parses");
-        for variant in [
-            ChaseVariant::Oblivious,
-            ChaseVariant::SemiOblivious,
-            ChaseVariant::Restricted,
-        ] {
+        for variant in
+            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+        {
             let initial = Instance::from_atoms(program.facts().iter().cloned());
             let run = chase(&program, variant, initial, &Budget::applications(steps));
             let outcome = if run.outcome.is_saturated() {

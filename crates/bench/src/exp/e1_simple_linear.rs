@@ -37,7 +37,11 @@ impl Default for Params {
         Params {
             samples: 2_000,
             cfg: RandomConfig::default(),
-            truth_budget: Budget { max_applications: 3_000, max_atoms: 30_000, ..Budget::unlimited() },
+            truth_budget: Budget {
+                max_applications: 3_000,
+                max_atoms: 30_000,
+                ..Budget::unlimited()
+            },
         }
     }
 }
@@ -120,10 +124,7 @@ pub fn run(params: &Params) -> (Table, Outcome) {
     table.row(&["CT-o terminating", &o_terminating.to_string()]);
     table.row(&["WA vs exact CT-so disagreements", &outcome.wa_vs_exact_so.to_string()]);
     table.row(&["RA vs exact CT-o disagreements", &outcome.ra_vs_exact_o.to_string()]);
-    table.row(&[
-        "checker vs chase contradictions",
-        &outcome.truth_contradictions.to_string(),
-    ]);
+    table.row(&["checker vs chase contradictions", &outcome.truth_contradictions.to_string()]);
     table.row(&["chase runs exceeding truth budget", &truth_exceeded.to_string()]);
     (table, outcome)
 }

@@ -39,7 +39,11 @@ impl Default for Params {
             samples: 2_000,
             cfg: RandomConfig { constants: 2, complexity: 0.45, ..RandomConfig::default() },
             gap_sizes: [1, 2, 4],
-            truth_budget: Budget { max_applications: 3_000, max_atoms: 30_000, ..Budget::unlimited() },
+            truth_budget: Budget {
+                max_applications: 3_000,
+                max_atoms: 30_000,
+                ..Budget::unlimited()
+            },
         }
     }
 }
@@ -70,9 +74,8 @@ pub fn run(params: &Params) -> (Vec<Table>, Outcome) {
         let lp = critical_gap(n);
         let wa = is_weakly_acyclic(&lp.program);
         let ra = is_richly_acyclic(&lp.program);
-        let cwa = decide_linear(&lp.program, ChaseVariant::SemiOblivious, false)
-            .unwrap()
-            .terminates;
+        let cwa =
+            decide_linear(&lp.program, ChaseVariant::SemiOblivious, false).unwrap().terminates;
         let cra = decide_linear(&lp.program, ChaseVariant::Oblivious, false).unwrap().terminates;
         let truth =
             critical_chase_truth(&lp.program, ChaseVariant::SemiOblivious, &params.truth_budget);
@@ -152,10 +155,7 @@ pub fn run(params: &Params) -> (Vec<Table>, Outcome) {
     pop_table.row(&["exact CT-o terminating", &exact_o_terminating.to_string()]);
     pop_table.row(&["WA wrong (gap closed by Thm 2)", &outcome.wa_wrong.to_string()]);
     pop_table.row(&["RA wrong (gap closed by Thm 2)", &outcome.ra_wrong.to_string()]);
-    pop_table.row(&[
-        "exact vs chase contradictions",
-        &outcome.truth_contradictions.to_string(),
-    ]);
+    pop_table.row(&["exact vs chase contradictions", &outcome.truth_contradictions.to_string()]);
 
     (vec![gap_table, pop_table], outcome)
 }
@@ -170,9 +170,6 @@ mod tests {
         let (_, outcome) = run(&params);
         assert_eq!(outcome.truth_contradictions, 0);
         assert_eq!(outcome.gap_misclassified, 0);
-        assert!(
-            outcome.wa_wrong > 0,
-            "the population should exhibit the WA gap Theorem 2 closes"
-        );
+        assert!(outcome.wa_wrong > 0, "the population should exhibit the WA gap Theorem 2 closes");
     }
 }

@@ -108,11 +108,7 @@ mod tests {
 
     #[test]
     fn shape_counts_grow_exponentially_in_arity_but_linearly_in_rules() {
-        let params = Params {
-            rule_counts: vec![2, 8],
-            arities: vec![2, 4, 6],
-            repeats: 3,
-        };
+        let params = Params { rule_counts: vec![2, 8], arities: vec![2, 4, 6], repeats: 3 };
         let tables = run(&params);
         assert_eq!(tables.len(), 2);
         // The wide-terminating family at arity k has >= 2^k initial shapes.
@@ -123,12 +119,10 @@ mod tests {
     #[test]
     fn wide_terminating_shape_growth_is_exponential() {
         use chasekit_termination::LinearAnalysis;
-        let s4 = LinearAnalysis::explore(&wide_terminating(4).program, false)
-            .unwrap()
-            .shape_count();
-        let s8 = LinearAnalysis::explore(&wide_terminating(8).program, false)
-            .unwrap()
-            .shape_count();
+        let s4 =
+            LinearAnalysis::explore(&wide_terminating(4).program, false).unwrap().shape_count();
+        let s8 =
+            LinearAnalysis::explore(&wide_terminating(8).program, false).unwrap().shape_count();
         assert!(
             s8 >= 8 * s4,
             "expected exponential growth, got {s4} at arity 4 vs {s8} at arity 8"

@@ -35,7 +35,11 @@ impl Default for Params {
             samples: 1_000,
             cfg: RandomConfig { predicates: 4, max_arity: 3, rules: 4, ..Default::default() },
             fuel: Budget { max_applications: 4_000, max_atoms: 40_000, ..Budget::unlimited() },
-            truth_budget: Budget { max_applications: 8_000, max_atoms: 80_000, ..Budget::unlimited() },
+            truth_budget: Budget {
+                max_applications: 8_000,
+                max_atoms: 80_000,
+                ..Budget::unlimited()
+            },
             arities: vec![1, 2, 3, 4],
         }
     }
@@ -57,7 +61,15 @@ pub fn run(params: &Params) -> Result<(Vec<Table>, Outcome), GuardedError> {
 
     let mut pop = Table::new(
         "E4a / Theorem 4: guarded population vs chase ground truth",
-        &["variant", "samples", "terminates", "diverges", "unknown", "contradictions", "median time (us)"],
+        &[
+            "variant",
+            "samples",
+            "terminates",
+            "diverges",
+            "unknown",
+            "contradictions",
+            "median time (us)",
+        ],
     );
     for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Oblivious] {
         let records = crate::parallel::par_map_seeds(params.samples, |seed| {
@@ -143,10 +155,6 @@ mod tests {
         let (_, outcome) = run(&params).expect("generator emits guarded sets");
         assert_eq!(outcome.contradictions, 0);
         // Unknowns should be rare on this small population.
-        assert!(
-            outcome.unknown <= params.samples / 10,
-            "too many unknowns: {}",
-            outcome.unknown
-        );
+        assert!(outcome.unknown <= params.samples / 10, "too many unknowns: {}", outcome.unknown);
     }
 }

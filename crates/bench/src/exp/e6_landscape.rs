@@ -33,7 +33,11 @@ impl Default for Params {
         Params {
             samples: 1_500,
             cfg: RandomConfig { constants: 1, complexity: 0.4, ..RandomConfig::default() },
-            mfa_budget: Budget { max_applications: 3_000, max_atoms: 30_000, ..Budget::unlimited() },
+            mfa_budget: Budget {
+                max_applications: 3_000,
+                max_atoms: 30_000,
+                ..Budget::unlimited()
+            },
         }
     }
 }
@@ -101,9 +105,7 @@ pub fn run(params: &Params) -> (Vec<Table>, Outcome) {
         if ra && !exact_o {
             outcome.soundness_violations += 1;
         }
-        for (cond, name) in
-            [(wa, "WA"), (ja, "JA"), (mfa == Some(true), "MFA"), (agrd, "aGRD")]
-        {
+        for (cond, name) in [(wa, "WA"), (ja, "JA"), (mfa == Some(true), "MFA"), (agrd, "aGRD")] {
             if cond && !exact_so {
                 outcome.soundness_violations += 1;
                 eprintln!("soundness violation: {name} accepted a diverging set (seed {seed})");

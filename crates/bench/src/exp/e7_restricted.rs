@@ -18,9 +18,9 @@ use chasekit_core::Instance;
 use chasekit_datagen::{
     random_database, random_linear, random_simple_linear, DbConfig, RandomConfig,
 };
-use chasekit_engine::{chase, Budget, StopReason, ChaseVariant};
-use chasekit_termination::restricted::{find_divergent_start, materialize_start};
+use chasekit_engine::{chase, Budget, ChaseVariant, StopReason};
 use chasekit_termination::is_single_head_linear;
+use chasekit_termination::restricted::{find_divergent_start, materialize_start};
 
 use crate::table::Table;
 
@@ -42,7 +42,11 @@ impl Default for Params {
         Params {
             samples: 2_000,
             cfg: RandomConfig { max_head_atoms: 1, ..RandomConfig::default() },
-            probe_budget: Budget { max_applications: 2_000, max_atoms: 20_000, ..Budget::unlimited() },
+            probe_budget: Budget {
+                max_applications: 2_000,
+                max_atoms: 20_000,
+                ..Budget::unlimited()
+            },
             probes: 3,
         }
     }
@@ -114,8 +118,7 @@ pub fn run(params: &Params) -> (Table, Outcome) {
                     ));
                 }
                 for db in probes {
-                    let run =
-                        chase(&program, ChaseVariant::Restricted, db, &params.probe_budget);
+                    let run = chase(&program, ChaseVariant::Restricted, db, &params.probe_budget);
                     if run.outcome != StopReason::Saturated {
                         outcome.probe_contradictions += 1;
                     }
@@ -133,7 +136,10 @@ pub fn run(params: &Params) -> (Table, Outcome) {
     table.row(&["restricted-terminating", &terminating.to_string()]);
     table.row(&["restricted-diverging (with witness db)", &diverging.to_string()]);
     table.row(&["witnesses unconfirmed by engine", &outcome.unconfirmed_witnesses.to_string()]);
-    table.row(&["termination claims contradicted by probes", &outcome.probe_contradictions.to_string()]);
+    table.row(&[
+        "termination claims contradicted by probes",
+        &outcome.probe_contradictions.to_string(),
+    ]);
     table.row(&["samples where plain WA differs (the future-work gap)", &wa_differs.to_string()]);
     (table, outcome)
 }

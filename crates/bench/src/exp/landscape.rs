@@ -75,11 +75,8 @@ const VARIANT_NAMES: &[&str] = &["so", "o", "restricted"];
 pub type FamilyGen = fn(usize, u64) -> LabeledProgram;
 
 /// The generated families (name, generator).
-pub const FAMILIES: &[(&str, FamilyGen)] = &[
-    ("dl-lite-r", dl_lite_r),
-    ("lubm", lubm),
-    ("critical-constants", critical_constants),
-];
+pub const FAMILIES: &[(&str, FamilyGen)] =
+    &[("dl-lite-r", dl_lite_r), ("lubm", lubm), ("critical-constants", critical_constants)];
 
 /// E9 parameters.
 #[derive(Debug, Clone)]
@@ -295,8 +292,7 @@ fn run_checkers(lp: &LabeledProgram, params: &Params) -> Vec<Record> {
 fn evaluate(lp: &LabeledProgram, params: &Params) -> ProgramEval {
     let records = run_checkers(lp, params);
 
-    let variants =
-        [ChaseVariant::SemiOblivious, ChaseVariant::Oblivious, ChaseVariant::Restricted];
+    let variants = [ChaseVariant::SemiOblivious, ChaseVariant::Oblivious, ChaseVariant::Restricted];
     let mut truth = [ChaseTruth::Exceeded; 3];
     let mut escalated = [false; 3];
     for (vi, &variant) in variants.iter().enumerate() {
@@ -606,10 +602,7 @@ fn render_json(
                 if ci + 1 < cell.aggs.len() { "," } else { "" },
             ));
         }
-        json.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
+        json.push_str(&format!("     ]}}{}\n", if i + 1 < cells.len() { "," } else { "" }));
     }
     json.push_str("  ]\n}\n");
     json
@@ -620,32 +613,21 @@ mod tests {
     use super::*;
 
     fn tiny_params() -> Params {
-        Params {
-            sizes: vec![2, 3],
-            seeds_per_size: 6,
-            ..Params::quick()
-        }
+        Params { sizes: vec![2, 3], seeds_per_size: 6, ..Params::quick() }
     }
 
     #[test]
     fn shootout_has_no_contradictions_on_a_small_slice() {
         let result = run(&tiny_params());
         assert_eq!(result.outcome.programs, 2 * 6 * FAMILIES.len() as u64);
-        assert!(
-            result.outcome.contradictions.is_empty(),
-            "{:?}",
-            result.outcome.contradictions
-        );
+        assert!(result.outcome.contradictions.is_empty(), "{:?}", result.outcome.contradictions);
     }
 
     #[test]
     fn json_mentions_every_checker_and_family() {
         let result = run(&tiny_params());
         for name in CHECKERS {
-            assert!(
-                result.json.contains(&format!("\"checker\": \"{name}\"")),
-                "missing {name}"
-            );
+            assert!(result.json.contains(&format!("\"checker\": \"{name}\"")), "missing {name}");
         }
         for (family, _) in FAMILIES {
             assert!(result.json.contains(&format!("\"family\": \"{family}\"")));
@@ -664,9 +646,8 @@ mod tests {
         // On the dl-lite-r cell every program is simple linear, so the
         // exact linear procedure must decide all of them.
         let params = tiny_params();
-        let evals: Vec<ProgramEval> = (0..8u64)
-            .map(|seed| evaluate(&dl_lite_r(3, seed), &params))
-            .collect();
+        let evals: Vec<ProgramEval> =
+            (0..8u64).map(|seed| evaluate(&dl_lite_r(3, seed), &params)).collect();
         let cw = CHECKERS.iter().position(|&c| c == "critical-wa(so)").unwrap();
         for e in &evals {
             assert!(e.records[cw].applicable, "{}", e.name);

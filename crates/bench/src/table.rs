@@ -80,14 +80,10 @@ impl Table {
             }
         };
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",")
-        );
+        let _ =
+            writeln!(out, "{}", self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
         for row in &self.rows {
-            let _ =
-                writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
         }
         out
     }

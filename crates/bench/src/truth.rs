@@ -38,9 +38,7 @@ pub fn contradiction(claim: Option<bool>, truth: ChaseTruth) -> Option<&'static 
         (Some(true), ChaseTruth::Exceeded) => {
             Some("checker says terminates, chase exceeded budget")
         }
-        (Some(false), ChaseTruth::Saturates) => {
-            Some("checker says diverges, chase saturated")
-        }
+        (Some(false), ChaseTruth::Saturates) => Some("checker says diverges, chase saturated"),
         _ => None,
     }
 }
@@ -53,7 +51,11 @@ mod tests {
     fn truth_matches_known_cases() {
         let diverging = Program::parse("p(X, Y) -> p(Y, Z).").unwrap();
         assert_eq!(
-            critical_chase_truth(&diverging, ChaseVariant::SemiOblivious, &Budget::applications(500)),
+            critical_chase_truth(
+                &diverging,
+                ChaseVariant::SemiOblivious,
+                &Budget::applications(500)
+            ),
             ChaseTruth::Exceeded
         );
         let terminating = Program::parse("p(X, Y) -> q(X, Y).").unwrap();

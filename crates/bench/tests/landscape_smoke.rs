@@ -14,9 +14,8 @@ fn field(line: &str, key: &str) -> f64 {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag).unwrap_or_else(|| panic!("no {key} in `{line}`")) + tag.len();
     let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
+    let end =
+        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
     rest[..end].parse().unwrap_or_else(|e| panic!("bad {key} in `{line}`: {e}"))
 }
 
@@ -37,11 +36,7 @@ fn json_artifact_is_well_formed_and_complete() {
     let cell_count = FAMILIES.len() * tiny().sizes.len();
     for name in CHECKERS {
         let tag = format!("\"checker\": \"{name}\"");
-        assert_eq!(
-            json.matches(&tag).count(),
-            cell_count,
-            "{name} missing from some cell"
-        );
+        assert_eq!(json.matches(&tag).count(), cell_count, "{name} missing from some cell");
     }
     for (family, _) in FAMILIES {
         assert!(json.contains(&format!("\"family\": \"{family}\"")));

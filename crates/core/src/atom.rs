@@ -74,10 +74,7 @@ impl Atom {
 
     /// Applies `f` to every argument, producing a new atom.
     pub fn map_args(&self, mut f: impl FnMut(Term) -> Term) -> Atom {
-        Atom {
-            pred: self.pred,
-            args: self.args.iter().map(|&t| f(t)).collect(),
-        }
+        Atom { pred: self.pred, args: self.args.iter().map(|&t| f(t)).collect() }
     }
 
     /// Returns `true` if the atom mentions the given term.
@@ -139,10 +136,7 @@ impl AtomRef<'_> {
 
     /// Applies `f` to every argument, producing an owned atom.
     pub fn map_args(&self, mut f: impl FnMut(Term) -> Term) -> Atom {
-        Atom {
-            pred: self.pred,
-            args: self.args.iter().map(|&t| f(t)).collect(),
-        }
+        Atom { pred: self.pred, args: self.args.iter().map(|&t| f(t)).collect() }
     }
 
     /// Copies the view into an owned [`Atom`].

@@ -69,14 +69,8 @@ impl CriticalInstance {
                 constants.push(c);
             }
         }
-        let p0 = program
-            .vocab
-            .declare_pred("0", 1)
-            .expect("unary predicate 0 must be consistent");
-        let p1 = program
-            .vocab
-            .declare_pred("1", 1)
-            .expect("unary predicate 1 must be consistent");
+        let p0 = program.vocab.declare_pred("0", 1).expect("unary predicate 0 must be consistent");
+        let p1 = program.vocab.declare_pred("1", 1).expect("unary predicate 1 must be consistent");
         // The predicates 0 and 1 are *reserved*: every standard database
         // contains exactly 0(0) and 1(1) in them, so they are excluded from
         // the all-combinations fill.
@@ -96,8 +90,7 @@ impl CriticalInstance {
             let arity = program.vocab.arity(pred);
             let mut tuple = vec![0usize; arity];
             'combos: loop {
-                let args: Vec<Term> =
-                    tuple.iter().map(|&i| Term::Const(constants[i])).collect();
+                let args: Vec<Term> = tuple.iter().map(|&i| Term::Const(constants[i])).collect();
                 instance.insert(Atom::new(pred, args));
                 // Odometer increment over `constants`; zero-arity predicates
                 // yield exactly one (empty-args) atom.
@@ -170,18 +163,12 @@ mod tests {
         let one_pred = p.vocab.pred("1").unwrap();
         let zero_const = p.vocab.constant("0").unwrap();
         let one_const = p.vocab.constant("1").unwrap();
-        assert!(crit
-            .instance
-            .contains(&Atom::new(zero_pred, vec![Term::Const(zero_const)])));
-        assert!(crit
-            .instance
-            .contains(&Atom::new(one_pred, vec![Term::Const(one_const)])));
+        assert!(crit.instance.contains(&Atom::new(zero_pred, vec![Term::Const(zero_const)])));
+        assert!(crit.instance.contains(&Atom::new(one_pred, vec![Term::Const(one_const)])));
         assert_eq!(crit.instance.len(), 9 + 1 + 1);
         // The reserved predicates contain nothing else.
         assert_eq!(crit.instance.with_pred(zero_pred).len(), 1);
-        assert!(!crit
-            .instance
-            .contains(&Atom::new(zero_pred, vec![Term::Const(crit.star)])));
+        assert!(!crit.instance.contains(&Atom::new(zero_pred, vec![Term::Const(crit.star)])));
     }
 
     #[test]

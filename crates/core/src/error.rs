@@ -93,29 +93,17 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = CoreError::ArityMismatch {
-            predicate: "p".into(),
-            declared: 2,
-            used: 3,
-        };
+        let e = CoreError::ArityMismatch { predicate: "p".into(), declared: 2, used: 3 };
         let s = e.to_string();
         assert!(s.contains("`p`") && s.contains('2') && s.contains('3'));
 
-        let p = ParseError {
-            line: 3,
-            col: 14,
-            message: "expected `)`".into(),
-        };
+        let p = ParseError { line: 3, col: 14, message: "expected `)`".into() };
         assert_eq!(p.to_string(), "parse error at 3:14: expected `)`");
     }
 
     #[test]
     fn parse_error_converts_into_core_error() {
-        let p = ParseError {
-            line: 1,
-            col: 1,
-            message: "boom".into(),
-        };
+        let p = ParseError { line: 1, col: 1, message: "boom".into() };
         let c: CoreError = p.clone().into();
         assert_eq!(c, CoreError::Parse(p));
     }

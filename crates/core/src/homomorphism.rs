@@ -310,15 +310,9 @@ pub fn exists_extension_scratch(
     init: &Substitution,
     scratch: &mut MatchScratch,
 ) -> bool {
-    !for_each_hom_scratch(
-        atoms,
-        var_count,
-        instance,
-        Some(init),
-        None,
-        scratch,
-        &mut |_| ControlFlow::Break(()),
-    )
+    !for_each_hom_scratch(atoms, var_count, instance, Some(init), None, scratch, &mut |_| {
+        ControlFlow::Break(())
+    })
 }
 
 /// Whether there is a homomorphism from `src` to `dst`: a mapping of nulls
@@ -343,9 +337,7 @@ pub fn instance_hom_exists(src: &Instance, dst: &Instance) -> bool {
     if patterns.is_empty() {
         return true;
     }
-    !for_each_hom(&patterns, var_count, dst, None, None, &mut |_| {
-        ControlFlow::Break(())
-    })
+    !for_each_hom(&patterns, var_count, dst, None, None, &mut |_| ControlFlow::Break(()))
 }
 
 /// Whether `src` and `dst` are homomorphically equivalent.
@@ -467,10 +459,11 @@ mod tests {
     fn early_break_stops_enumeration() {
         let inst = edge_instance(&[(0, 1), (1, 2), (2, 3)]);
         let mut count = 0;
-        let completed = for_each_hom(&[atom(0, vec![v(0), v(1)])], 2, &inst, None, None, &mut |_| {
-            count += 1;
-            ControlFlow::Break(())
-        });
+        let completed =
+            for_each_hom(&[atom(0, vec![v(0), v(1)])], 2, &inst, None, None, &mut |_| {
+                count += 1;
+                ControlFlow::Break(())
+            });
         assert!(!completed);
         assert_eq!(count, 1);
     }

@@ -228,10 +228,7 @@ impl Instance {
     ///
     /// Panics (in debug builds) if any argument is not ground.
     pub fn insert_terms(&mut self, pred: PredId, args: &[Term]) -> (AtomId, bool) {
-        debug_assert!(
-            args.iter().all(|t| t.is_ground()),
-            "instance atoms must be ground"
-        );
+        debug_assert!(args.iter().all(|t| t.is_ground()), "instance atoms must be ground");
         let hash = hash_parts(pred, args);
         if let Some(i) = self.lookup(hash, pred, args) {
             return (AtomId::from_index(i), false);
@@ -305,8 +302,7 @@ impl Instance {
 
     /// Looks up the id of an atom given as predicate + argument slice.
     pub fn id_of_parts(&self, pred: PredId, args: &[Term]) -> Option<AtomId> {
-        self.lookup(hash_parts(pred, args), pred, args)
-            .map(AtomId::from_index)
+        self.lookup(hash_parts(pred, args), pred, args).map(AtomId::from_index)
     }
 
     /// Resolves an id to a zero-copy view of its atom.
@@ -317,10 +313,7 @@ impl Instance {
     pub fn atom(&self, id: AtomId) -> AtomRef<'_> {
         let i = id.index();
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        AtomRef {
-            pred: self.preds[i],
-            args: &self.terms[start..self.ends[i] as usize],
-        }
+        AtomRef { pred: self.preds[i], args: &self.terms[start..self.ends[i] as usize] }
     }
 
     /// Number of live atoms.
@@ -408,10 +401,7 @@ impl Instance {
 
     /// Ids of atoms with the given predicate, in insertion order.
     pub fn with_pred(&self, pred: PredId) -> &[AtomId] {
-        self.by_pred
-            .get(pred.index())
-            .map(|p| p.ids.as_slice())
-            .unwrap_or(&[])
+        self.by_pred.get(pred.index()).map(|p| p.ids.as_slice()).unwrap_or(&[])
     }
 
     /// Ids of atoms with `term` at `pos` of `pred`, in insertion order.

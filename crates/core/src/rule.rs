@@ -113,10 +113,7 @@ impl Tgd {
             .collect();
 
         // A guard is a body atom containing every universal variable.
-        let universal_count = vars
-            .iter()
-            .filter(|v| v.quantifier == Quantifier::Universal)
-            .count();
+        let universal_count = vars.iter().filter(|v| v.quantifier == Quantifier::Universal).count();
         let guard = body.iter().position(|a| {
             let mut seen = vec![false; vars.len()];
             let mut count = 0usize;
@@ -184,10 +181,7 @@ impl Tgd {
 
     /// Universal variables of the rule (frontier or not), ascending.
     pub fn universals(&self) -> Vec<VarId> {
-        (0..self.vars.len())
-            .map(VarId::from_index)
-            .filter(|&v| self.is_universal(v))
-            .collect()
+        (0..self.vars.len()).map(VarId::from_index).filter(|&v| self.is_universal(v)).collect()
     }
 
     /// Index (into the body) of a guard atom, if the rule is guarded.
@@ -295,10 +289,7 @@ mod tests {
     use crate::ids::{ConstId, PredId};
 
     fn var_infos(names: &[(&str, Quantifier)]) -> Vec<VarInfo> {
-        names
-            .iter()
-            .map(|(n, q)| VarInfo { name: (*n).into(), quantifier: *q })
-            .collect()
+        names.iter().map(|(n, q)| VarInfo { name: (*n).into(), quantifier: *q }).collect()
     }
 
     fn v(i: u32) -> Term {
@@ -311,10 +302,7 @@ mod tests {
         let has_father = PredId(1);
         Tgd::new(
             vec![Atom::new(person, vec![v(0)])],
-            vec![
-                Atom::new(has_father, vec![v(0), v(1)]),
-                Atom::new(person, vec![v(1)]),
-            ],
+            vec![Atom::new(has_father, vec![v(0), v(1)]), Atom::new(person, vec![v(1)])],
             var_infos(&[("X", Quantifier::Universal), ("Y", Quantifier::Existential)]),
         )
         .unwrap()
@@ -383,10 +371,7 @@ mod tests {
     fn guardedness_requires_one_atom_with_all_universals() {
         // p(X), q(Y) -> r(X, Y): not guarded.
         let not_guarded = Tgd::new(
-            vec![
-                Atom::new(PredId(0), vec![v(0)]),
-                Atom::new(PredId(1), vec![v(1)]),
-            ],
+            vec![Atom::new(PredId(0), vec![v(0)]), Atom::new(PredId(1), vec![v(1)])],
             vec![Atom::new(PredId(2), vec![v(0), v(1)])],
             var_infos(&[("X", Quantifier::Universal), ("Y", Quantifier::Universal)]),
         )
@@ -396,10 +381,7 @@ mod tests {
 
         // r(X, Y), p(X) -> s(X, Y): guarded by the first atom.
         let guarded = Tgd::new(
-            vec![
-                Atom::new(PredId(2), vec![v(0), v(1)]),
-                Atom::new(PredId(0), vec![v(0)]),
-            ],
+            vec![Atom::new(PredId(2), vec![v(0), v(1)]), Atom::new(PredId(0), vec![v(0)])],
             vec![Atom::new(PredId(3), vec![v(0), v(1)])],
             var_infos(&[("X", Quantifier::Universal), ("Y", Quantifier::Universal)]),
         )
@@ -429,19 +411,13 @@ mod tests {
         )
         .unwrap();
         let g = Tgd::new(
-            vec![
-                Atom::new(PredId(2), vec![v(0), v(1)]),
-                Atom::new(PredId(0), vec![v(0)]),
-            ],
+            vec![Atom::new(PredId(2), vec![v(0), v(1)]), Atom::new(PredId(0), vec![v(0)])],
             vec![Atom::new(PredId(3), vec![v(0), v(1)])],
             var_infos(&[("X", Quantifier::Universal), ("Y", Quantifier::Universal)]),
         )
         .unwrap();
         let ng = Tgd::new(
-            vec![
-                Atom::new(PredId(0), vec![v(0)]),
-                Atom::new(PredId(1), vec![v(1)]),
-            ],
+            vec![Atom::new(PredId(0), vec![v(0)]), Atom::new(PredId(1), vec![v(1)])],
             vec![Atom::new(PredId(2), vec![v(0), v(1)])],
             var_infos(&[("X", Quantifier::Universal), ("Y", Quantifier::Universal)]),
         )

@@ -67,11 +67,7 @@ proptest! {
 
 /// Brute-force homomorphism enumeration: try every assignment of variables
 /// to instance terms.
-fn oracle_homs(
-    patterns: &[Atom],
-    var_count: usize,
-    instance: &Instance,
-) -> Vec<Vec<Option<Term>>> {
+fn oracle_homs(patterns: &[Atom], var_count: usize, instance: &Instance) -> Vec<Vec<Option<Term>>> {
     let mut universe: Vec<Term> =
         instance.iter().flat_map(|(_, atom)| atom.args.iter().copied()).collect();
     universe.sort();

@@ -34,8 +34,7 @@ pub fn random_database(program: &mut Program, cfg: &DbConfig, seed: u64) -> Inst
     for _ in 0..cfg.facts {
         let pred = preds[rng.gen_range(0..preds.len())];
         let arity = program.vocab.arity(pred);
-        let args: Vec<Term> =
-            (0..arity).map(|_| consts[rng.gen_range(0..consts.len())]).collect();
+        let args: Vec<Term> = (0..arity).map(|_| consts[rng.gen_range(0..consts.len())]).collect();
         instance.insert(Atom::new(pred, args));
     }
     instance

@@ -49,12 +49,7 @@ fn parse_in_class(name: &str, src: &str, so: bool, o: bool, class: RuleClass) ->
 /// The two worked examples of the paper.
 pub fn paper_examples() -> Vec<LabeledProgram> {
     vec![
-        parse(
-            "paper-example-1",
-            "person(X) -> hasFather(X, Y), person(Y).",
-            false,
-            false,
-        ),
+        parse("paper-example-1", "person(X) -> hasFather(X, Y), person(Y).", false, false),
         parse("paper-example-2", "p(X, Y) -> p(Y, Z).", false, false),
     ]
 }
@@ -65,9 +60,8 @@ pub fn paper_examples() -> Vec<LabeledProgram> {
 /// shapes (an E3 scaling series).
 pub fn chain(n: usize) -> LabeledProgram {
     let mut program = Program::new();
-    let preds: Vec<_> = (0..=n)
-        .map(|i| program.vocab.declare_pred(&format!("p{i}"), 2).unwrap())
-        .collect();
+    let preds: Vec<_> =
+        (0..=n).map(|i| program.vocab.declare_pred(&format!("p{i}"), 2).unwrap()).collect();
     for i in 0..n {
         let mut rb = RuleBuilder::new();
         let x = rb.var("X");
@@ -268,9 +262,7 @@ pub fn binary_counter(k: usize) -> LabeledProgram {
         program.add_rule(rb.build().unwrap()).unwrap();
     }
     // Start at zero.
-    program
-        .add_fact(Atom::new(s, vec![chasekit_core::Term::Const(zero); k]))
-        .unwrap();
+    program.add_fact(Atom::new(s, vec![chasekit_core::Term::Const(zero); k])).unwrap();
     LabeledProgram {
         name: format!("binary-counter-{k}"),
         program,
@@ -334,7 +326,7 @@ mod tests {
     #[test]
     fn binary_counter_counts_to_two_to_the_k() {
         use chasekit_core::Instance;
-        use chasekit_engine::{chase, Budget, StopReason, ChaseVariant};
+        use chasekit_engine::{chase, Budget, ChaseVariant, StopReason};
         for k in 1..=6usize {
             let lp = binary_counter(k);
             let db = Instance::from_atoms(lp.program.facts().iter().cloned());
@@ -379,12 +371,9 @@ mod tests {
             if !matches!(lp.program.class(), RuleClass::SimpleLinear | RuleClass::Linear) {
                 continue;
             }
-            let so = decide_linear(&lp.program, ChaseVariant::SemiOblivious, false)
-                .unwrap()
-                .terminates;
-            let o = decide_linear(&lp.program, ChaseVariant::Oblivious, false)
-                .unwrap()
-                .terminates;
+            let so =
+                decide_linear(&lp.program, ChaseVariant::SemiOblivious, false).unwrap().terminates;
+            let o = decide_linear(&lp.program, ChaseVariant::Oblivious, false).unwrap().terminates;
             assert_eq!(Some(so), lp.so_terminates, "{} (so)", lp.name);
             assert_eq!(Some(o), lp.o_terminates, "{} (o)", lp.name);
         }

@@ -21,6 +21,5 @@ pub use families::{
 };
 pub use ontology::{critical_constants, dl_lite_r, lubm, ontology_corpus};
 pub use random::{
-    random_general, random_guarded, random_linear, random_mixed, random_simple_linear,
-    RandomConfig,
+    random_general, random_guarded, random_linear, random_mixed, random_simple_linear, RandomConfig,
 };

@@ -99,8 +99,7 @@ pub fn lubm(size: usize, seed: u64) -> LabeledProgram {
         match rng.gen_range(0..7) {
             // Specialization: a fresh sub-concept under a backbone concept.
             0 => {
-                let sup = ["professor", "student", "organization", "course"]
-                    [rng.gen_range(0..4)];
+                let sup = ["professor", "student", "organization", "course"][rng.gen_range(0..4)];
                 src.push_str(&format!("special{k}(X) -> {sup}(X).\n"));
             }
             // Fresh sub-role under a backbone role.
@@ -143,30 +142,22 @@ pub fn critical_constants(size: usize, seed: u64) -> LabeledProgram {
             if rng.gen_bool(0.5) {
                 // Constant loop: the feedback rule matches the constant
                 // the generator writes — the cycle is real, mints forever.
-                src.push_str(&format!(
-                    "p{i}(X) -> q{i}(b, X, Z). q{i}(b, X, Y) -> p{i}(Y).\n"
-                ));
+                src.push_str(&format!("p{i}(X) -> q{i}(b, X, Z). q{i}(b, X, Y) -> p{i}(Y).\n"));
             } else {
                 // Variable loop: feedback on the first position, which
                 // derived atoms do share — diverges.
-                src.push_str(&format!(
-                    "p{i}(X) -> e{i}(X, Z). e{i}(X, Y) -> p{i}(Y).\n"
-                ));
+                src.push_str(&format!("p{i}(X) -> e{i}(X, Z). e{i}(X, Y) -> p{i}(Y).\n"));
             }
         } else if rng.gen_bool(0.5) {
             // Constant stopper: the feedback rule requires constant `a` in
             // the position the generator fills with `b` — the position
             // cycle WA sees is unrealizable from derived atoms.
-            src.push_str(&format!(
-                "p{i}(X) -> q{i}(b, X, Z). q{i}(a, X, Y) -> p{i}(Y).\n"
-            ));
+            src.push_str(&format!("p{i}(X) -> q{i}(b, X, Z). q{i}(a, X, Y) -> p{i}(Y).\n"));
         } else {
             // Repeated-variable stopper (the Theorem 2 gap family): the
             // feedback rule needs e{i}(t, t), which no derived atom with a
             // fresh null in the second position can supply.
-            src.push_str(&format!(
-                "p{i}(X) -> e{i}(X, Z). e{i}(X, X) -> p{i}(X).\n"
-            ));
+            src.push_str(&format!("p{i}(X) -> e{i}(X, Z). e{i}(X, X) -> p{i}(X).\n"));
         }
     }
     unlabeled(format!("critical-constants-{size}-s{seed}"), &src, RuleClass::Linear)
@@ -221,8 +212,7 @@ mod tests {
         // is always simple linear, lubm reaches General, critical_constants
         // is linear-but-not-simple whenever a repeated-variable block fires.
         assert!((0..20).any(|s| lubm(6, s).program.class() == RuleClass::General));
-        assert!((0..20)
-            .any(|s| critical_constants(6, s).program.class() == RuleClass::Linear));
+        assert!((0..20).any(|s| critical_constants(6, s).program.class() == RuleClass::Linear));
     }
 
     #[test]
@@ -235,19 +225,13 @@ mod tests {
         let mut cc = (0, 0);
         for seed in 0..40 {
             let lp = dl_lite_r(4, seed);
-            if decide_linear(&lp.program, ChaseVariant::SemiOblivious, false)
-                .unwrap()
-                .terminates
-            {
+            if decide_linear(&lp.program, ChaseVariant::SemiOblivious, false).unwrap().terminates {
                 dl.0 += 1;
             } else {
                 dl.1 += 1;
             }
             let lp = critical_constants(4, seed);
-            if decide_linear(&lp.program, ChaseVariant::SemiOblivious, false)
-                .unwrap()
-                .terminates
-            {
+            if decide_linear(&lp.program, ChaseVariant::SemiOblivious, false).unwrap().terminates {
                 cc.0 += 1;
             } else {
                 cc.1 += 1;

@@ -51,18 +51,13 @@ fn declare_pool(program: &mut Program, cfg: &RandomConfig) -> Vec<PredId> {
     (0..cfg.predicates)
         .map(|i| {
             let arity = 1 + (i % cfg.max_arity.max(1));
-            program
-                .vocab
-                .declare_pred(&format!("p{i}"), arity)
-                .expect("fresh predicate")
+            program.vocab.declare_pred(&format!("p{i}"), arity).expect("fresh predicate")
         })
         .collect()
 }
 
 fn intern_constants(program: &mut Program, cfg: &RandomConfig) -> Vec<Term> {
-    (0..cfg.constants)
-        .map(|i| Term::Const(program.vocab.intern_const(&format!("c{i}"))))
-        .collect()
+    (0..cfg.constants).map(|i| Term::Const(program.vocab.intern_const(&format!("c{i}")))).collect()
 }
 
 /// Generates a random **simple linear**, constant-free rule set
@@ -77,8 +72,7 @@ pub fn random_simple_linear(cfg: &RandomConfig, seed: u64) -> Program {
         let body_pred = pool[rng.gen_range(0..pool.len())];
         let body_arity = program.vocab.arity(body_pred);
         // Simple linear: pairwise distinct body variables.
-        let body_vars: Vec<Term> =
-            (0..body_arity).map(|i| rb.var(&format!("X{i}"))).collect();
+        let body_vars: Vec<Term> = (0..body_arity).map(|i| rb.var(&format!("X{i}"))).collect();
         rb.body_atom(body_pred, body_vars.clone());
 
         let head_atoms = 1 + rng.gen_range(0..cfg.max_head_atoms);
@@ -196,14 +190,13 @@ pub fn random_guarded(cfg: &RandomConfig, seed: u64) -> Program {
         let guard_vars: Vec<Term> = (0..distinct).map(|i| rb.var(&format!("X{i}"))).collect();
 
         // Side atoms over guard variables only (keeps the rule guarded).
-        let side_atoms = (rng.gen_bool(cfg.complexity) as usize)
-            + (rng.gen_bool(cfg.complexity / 2.0) as usize);
+        let side_atoms =
+            (rng.gen_bool(cfg.complexity) as usize) + (rng.gen_bool(cfg.complexity / 2.0) as usize);
         for _ in 0..side_atoms {
             let side_pred = pool[rng.gen_range(0..pool.len())];
             let side_arity = program.vocab.arity(side_pred);
-            let args: Vec<Term> = (0..side_arity)
-                .map(|_| guard_vars[rng.gen_range(0..guard_vars.len())])
-                .collect();
+            let args: Vec<Term> =
+                (0..side_arity).map(|_| guard_vars[rng.gen_range(0..guard_vars.len())]).collect();
             rb.body_atom(side_pred, args);
         }
 
@@ -242,8 +235,7 @@ pub fn random_general(cfg: &RandomConfig, seed: u64) -> Program {
         let mut rb = RuleBuilder::new();
         let body_atoms = 1 + rng.gen_range(0..3);
         let var_pool_size = 1 + rng.gen_range(0..4);
-        let vars: Vec<Term> =
-            (0..var_pool_size).map(|i| rb.var(&format!("X{i}"))).collect();
+        let vars: Vec<Term> = (0..var_pool_size).map(|i| rb.var(&format!("X{i}"))).collect();
         let mut used = vec![false; var_pool_size];
         for _ in 0..body_atoms {
             let pred = pool[rng.gen_range(0..pool.len())];
@@ -257,12 +249,8 @@ pub fn random_general(cfg: &RandomConfig, seed: u64) -> Program {
                 .collect();
             rb.body_atom(pred, args);
         }
-        let used_vars: Vec<Term> = vars
-            .iter()
-            .zip(&used)
-            .filter(|(_, &u)| u)
-            .map(|(&v, _)| v)
-            .collect();
+        let used_vars: Vec<Term> =
+            vars.iter().zip(&used).filter(|(_, &u)| u).map(|(&v, _)| v).collect();
 
         let head_atoms = 1 + rng.gen_range(0..cfg.max_head_atoms);
         let mut existentials = 0usize;

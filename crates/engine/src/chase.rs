@@ -19,14 +19,13 @@ use std::time::Instant;
 
 use chasekit_core::{
     exists_extension, exists_extension_scratch, for_each_hom, for_each_hom_scratch, AtomId,
-    CriticalInstance, FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program,
-    Substitution, Term,
+    CriticalInstance, FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program, Substitution,
+    Term,
 };
 
 use crate::derivation::{Application, DerivationDag};
 use crate::guard::{
-    approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, CancelToken,
-    StopReason,
+    approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, CancelToken, StopReason,
 };
 use crate::trace::{core_seq, ProgressMeter, ProgressReport, TraceEvent, TraceHandle, TraceSink};
 use crate::variant::ChaseVariant;
@@ -208,8 +207,7 @@ impl<'p> ChaseMachine<'p> {
         initial: Instance,
         trace: Option<TraceHandle>,
     ) -> Self {
-        let initial_bytes: usize =
-            initial.iter().map(|(_, a)| approx_atom_bytes(a.arity())).sum();
+        let initial_bytes: usize = initial.iter().map(|(_, a)| approx_atom_bytes(a.arity())).sum();
         let mut machine = ChaseMachine {
             program,
             config,
@@ -357,13 +355,9 @@ impl<'p> ChaseMachine<'p> {
                 );
                 found
             }
-            Some(atom_id) => matches_pinned(
-                self.program,
-                &self.instance,
-                rule_idx,
-                atom_id,
-                &mut self.scratch,
-            ),
+            Some(atom_id) => {
+                matches_pinned(self.program, &self.instance, rule_idx, atom_id, &mut self.scratch)
+            }
         };
 
         for subst in found {
@@ -385,8 +379,7 @@ impl<'p> ChaseMachine<'p> {
             if let Some(t) = &mut self.trace {
                 t.core(TraceEvent::TriggerAdmitted { rule: rule_idx });
             }
-            self.approx_bytes +=
-                approx_identity_bytes(key_len) + approx_trigger_bytes(subst.len());
+            self.approx_bytes += approx_identity_bytes(key_len) + approx_trigger_bytes(subst.len());
             self.queue.push_back(Trigger { rule: rule_idx, subst });
         } else {
             self.stats.triggers_deduped += 1;
@@ -454,10 +447,7 @@ impl<'p> ChaseMachine<'p> {
                 // it if its satisfaction witness is later deleted (see
                 // `crate::incremental`). Only derivation-tracked machines
                 // are updatable, so untracked runs pay nothing.
-                self.skipped.push(Trigger {
-                    rule: trigger.rule,
-                    subst: trigger.subst.clone(),
-                });
+                self.skipped.push(Trigger { rule: trigger.rule, subst: trigger.subst.clone() });
                 self.approx_bytes += approx_trigger_bytes(trigger.subst.len());
             }
             if let Some(t) = &mut self.trace {
@@ -510,17 +500,13 @@ impl<'p> ChaseMachine<'p> {
                 .iter()
                 .map(|a| {
                     let image = subst.apply_atom(a);
-                    self.instance
-                        .id_of(&image)
-                        .expect("body image must be in the instance")
+                    self.instance.id_of(&image).expect("body image must be in the instance")
                 })
                 .collect();
             // The primary parent anchors ancestor chains: the guard image
             // for guarded rules, the first body image otherwise.
-            let primary = rule
-                .guard_index()
-                .map(|g| parents[g])
-                .or_else(|| parents.first().copied());
+            let primary =
+                rule.guard_index().map(|g| parents[g]).or_else(|| parents.first().copied());
             (parents, primary)
         } else {
             (Vec::new(), None)
@@ -771,11 +757,7 @@ pub fn chase(
 }
 
 /// Convenience: chases a program's own facts.
-pub fn chase_facts(
-    program: &Program,
-    variant: ChaseVariant,
-    budget: &Budget,
-) -> ChaseResult {
+pub fn chase_facts(program: &Program, variant: ChaseVariant, budget: &Budget) -> ChaseResult {
     let initial = Instance::from_atoms(program.facts().iter().cloned());
     chase(program, variant, initial, budget)
 }
@@ -831,11 +813,9 @@ mod tests {
     #[test]
     fn example1_diverges_under_all_variants() {
         let p = Program::parse("person(X) -> hasFather(X, Y), person(Y). person(bob).").unwrap();
-        for variant in [
-            ChaseVariant::Oblivious,
-            ChaseVariant::SemiOblivious,
-            ChaseVariant::Restricted,
-        ] {
+        for variant in
+            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+        {
             let r = chase(&p, variant, facts(&p), &Budget::applications(200));
             assert_eq!(r.outcome, StopReason::Applications, "{variant} should diverge");
             assert!(r.stats.applications >= 200);
@@ -847,11 +827,9 @@ mod tests {
     #[test]
     fn example2_diverges() {
         let p = Program::parse("p(a, b). p(X, Y) -> p(Y, Z).").unwrap();
-        for variant in [
-            ChaseVariant::Oblivious,
-            ChaseVariant::SemiOblivious,
-            ChaseVariant::Restricted,
-        ] {
+        for variant in
+            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+        {
             let r = chase(&p, variant, facts(&p), &Budget::applications(100));
             assert_eq!(r.outcome, StopReason::Applications, "{variant} should diverge");
         }
@@ -907,11 +885,9 @@ mod tests {
              e(X, Y), t(Y, Z) -> t(X, Z).",
         )
         .unwrap();
-        for variant in [
-            ChaseVariant::Oblivious,
-            ChaseVariant::SemiOblivious,
-            ChaseVariant::Restricted,
-        ] {
+        for variant in
+            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+        {
             let r = chase(&p, variant, facts(&p), &Budget::default());
             assert_eq!(r.outcome, StopReason::Saturated, "{variant}");
             // 3 base edges + 6 closure pairs.
@@ -924,10 +900,9 @@ mod tests {
     /// smoke test: the restricted result maps into the semi-oblivious one).
     #[test]
     fn chase_results_are_models_and_universal() {
-        let p = Program::parse(
-            "emp(alice). emp(X) -> dept(X, D), mgr(D, M). mgr(D, M) -> boss(M).",
-        )
-        .unwrap();
+        let p =
+            Program::parse("emp(alice). emp(X) -> dept(X, D), mgr(D, M). mgr(D, M) -> boss(M).")
+                .unwrap();
         let so = chase(&p, ChaseVariant::SemiOblivious, facts(&p), &Budget::default());
         let rst = chase(&p, ChaseVariant::Restricted, facts(&p), &Budget::default());
         assert_eq!(so.outcome, StopReason::Saturated);
@@ -1055,8 +1030,7 @@ mod scheduling_tests {
         let db = || Instance::from_atoms(p.facts().iter().cloned());
         let budget = Budget::applications(300);
 
-        let mut fifo =
-            ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::Restricted), db());
+        let mut fifo = ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::Restricted), db());
         let fifo_outcome = fifo.run(&budget);
 
         let mut saturating_seeds = 0;
@@ -1072,10 +1046,8 @@ mod scheduling_tests {
         }
 
         // Both behaviours must be observable across orders.
-        let total_saturating =
-            saturating_seeds + (fifo_outcome == StopReason::Saturated) as u32;
-        let total_diverging =
-            diverging_seeds + (fifo_outcome == StopReason::Applications) as u32;
+        let total_saturating = saturating_seeds + (fifo_outcome == StopReason::Saturated) as u32;
+        let total_diverging = diverging_seeds + (fifo_outcome == StopReason::Applications) as u32;
         assert!(
             total_saturating > 0,
             "expected at least one order to saturate (fifo: {fifo_outcome:?})"
@@ -1089,10 +1061,9 @@ mod scheduling_tests {
     /// Order does NOT affect the (semi-)oblivious chase result set.
     #[test]
     fn oblivious_results_are_order_independent() {
-        let p = Program::parse(
-            "e(a, b). e(b, c). e(X, Y) -> t(X, Y). e(X, Y), t(Y, Z) -> t(X, Z).",
-        )
-        .unwrap();
+        let p =
+            Program::parse("e(a, b). e(b, c). e(X, Y) -> t(X, Y). e(X, Y), t(Y, Z) -> t(X, Z).")
+                .unwrap();
         let db = || Instance::from_atoms(p.facts().iter().cloned());
         let fifo = {
             let mut m = ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::SemiOblivious), db());
@@ -1120,11 +1091,7 @@ mod scheduling_tests {
         )
         .unwrap();
         let cfg = ChaseConfig::of(ChaseVariant::SemiOblivious).with_random_scheduling(7);
-        let mut m = ChaseMachine::new(
-            &p,
-            cfg,
-            Instance::from_atoms(p.facts().iter().cloned()),
-        );
+        let mut m = ChaseMachine::new(&p, cfg, Instance::from_atoms(p.facts().iter().cloned()));
         let _ = m.run(&Budget::applications(500));
         // The datalog rule must have fired many times despite the
         // existential rule flooding the queue.
@@ -1316,11 +1283,8 @@ mod guard_tests {
             }
             let atoms: usize =
                 m.instance.iter().map(|(_, a)| crate::guard::approx_atom_bytes(a.arity())).sum();
-            let queue: usize = m
-                .queue
-                .iter()
-                .map(|t| crate::guard::approx_trigger_bytes(t.subst.len()))
-                .sum();
+            let queue: usize =
+                m.queue.iter().map(|t| crate::guard::approx_trigger_bytes(t.subst.len())).sum();
             let seen: usize =
                 m.seen.iter().map(|(_, k)| crate::guard::approx_identity_bytes(k.len())).sum();
             assert_eq!(m.approx_memory_bytes(), atoms + queue + seen);

@@ -148,9 +148,7 @@ impl<'p> ChaseMachine<'p> {
                 .queue
                 .iter()
                 .map(|t| {
-                    let slots = (0..t.subst.len())
-                        .map(|v| t.subst.get(VarId(v as u32)))
-                        .collect();
+                    let slots = (0..t.subst.len()).map(|v| t.subst.get(VarId(v as u32))).collect();
                     (t.rule, slots)
                 })
                 .collect(),
@@ -236,10 +234,8 @@ impl Checkpoint {
             seen.insert(entry.clone());
         }
 
-        let atom_bytes: usize = instance
-            .iter()
-            .map(|(_, a)| crate::guard::approx_atom_bytes(a.arity()))
-            .sum();
+        let atom_bytes: usize =
+            instance.iter().map(|(_, a)| crate::guard::approx_atom_bytes(a.arity())).sum();
 
         let skolem: FxHashMap<NullId, SkolemInfo> =
             self.skolem.iter().map(|(k, v)| (*k, v.clone())).collect();
@@ -400,7 +396,8 @@ impl Checkpoint {
 
         let scheduling = {
             let (n, l) = next("scheduling line")?;
-            let rest = l.strip_prefix("scheduling ").ok_or_else(|| bad(n, l, "scheduling <policy>"))?;
+            let rest =
+                l.strip_prefix("scheduling ").ok_or_else(|| bad(n, l, "scheduling <policy>"))?;
             let mut parts = rest.split_whitespace();
             match (parts.next(), parts.next()) {
                 (Some("fifo"), None) => Scheduling::Fifo,
@@ -588,9 +585,9 @@ fn term_token(t: Term) -> Result<String, CheckpointError> {
     match t {
         Term::Const(c) => Ok(format!("c{}", c.0)),
         Term::Null(n) => Ok(format!("n{}", n.0)),
-        Term::Var(_) => Err(CheckpointError::Unserializable(
-            "checkpoint contains a non-ground term",
-        )),
+        Term::Var(_) => {
+            Err(CheckpointError::Unserializable("checkpoint contains a non-ground term"))
+        }
     }
 }
 
@@ -703,10 +700,7 @@ pub fn remove_snapshot(path: &Path) -> io::Result<bool> {
 /// [`write_snapshot_atomic`], and notes [`TraceEvent::CheckpointWrite`].
 /// The error names the path and the cause.
 pub fn publish_snapshot(machine: &mut ChaseMachine<'_>, path: &Path) -> Result<(), String> {
-    let text = machine
-        .snapshot()
-        .to_text()
-        .map_err(|e| format!("cannot checkpoint run: {e}"))?;
+    let text = machine.snapshot().to_text().map_err(|e| format!("cannot checkpoint run: {e}"))?;
     write_snapshot_atomic(path, &text)
         .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
     let (applications, atoms, pending) =

@@ -48,12 +48,7 @@ pub mod points {
     pub const SERVE_RESULT: &str = "serve.result";
 
     /// Every point, for spec validation.
-    pub(super) const ALL: &[&str] = &[
-        SNAPSHOT_WRITE,
-        SNAPSHOT_RENAME,
-        SERVE_ADMIT,
-        SERVE_RESULT,
-    ];
+    pub(super) const ALL: &[&str] = &[SNAPSHOT_WRITE, SNAPSHOT_RENAME, SERVE_ADMIT, SERVE_RESULT];
 }
 
 /// What an armed failpoint does when its hit count comes up.
@@ -93,10 +88,7 @@ pub fn configure(spec: &str) -> Result<(), String> {
             .split_once('=')
             .ok_or_else(|| format!("failpoint item `{item}` is not `name=action[@N]`"))?;
         if !points::ALL.contains(&name) {
-            return Err(format!(
-                "unknown failpoint `{name}` (known: {})",
-                points::ALL.join(", ")
-            ));
+            return Err(format!("unknown failpoint `{name}` (known: {})", points::ALL.join(", ")));
         }
         let (action_text, at) = match rest.split_once('@') {
             Some((a, n)) => (
@@ -226,8 +218,7 @@ pub(crate) mod tests {
     #[test]
     fn spec_grammar_round_trips_every_action() {
         let _g = guard();
-        configure("snapshot.write=short:12@2; serve.admit=error, serve.result=panic@5")
-            .unwrap();
+        configure("snapshot.write=short:12@2; serve.admit=error, serve.result=panic@5").unwrap();
         assert_eq!(fire(points::SERVE_ADMIT), Some(Action::Error));
         assert_eq!(fire(points::SNAPSHOT_WRITE), None);
         assert_eq!(fire(points::SNAPSHOT_WRITE), Some(Action::ShortWrite(12)));

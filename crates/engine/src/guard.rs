@@ -81,12 +81,7 @@ impl Budget {
 
 impl Default for Budget {
     fn default() -> Self {
-        Budget {
-            max_applications: 100_000,
-            max_atoms: 1_000_000,
-            max_wall: None,
-            max_memory: None,
-        }
+        Budget { max_applications: 100_000, max_atoms: 1_000_000, max_wall: None, max_memory: None }
     }
 }
 
@@ -207,10 +202,7 @@ mod tests {
 
     #[test]
     fn budget_builders_compose() {
-        let b = Budget::applications(10)
-            .with_timeout_ms(250)
-            .with_memory(1 << 20)
-            .with_atoms(99);
+        let b = Budget::applications(10).with_timeout_ms(250).with_memory(1 << 20).with_atoms(99);
         assert_eq!(b.max_applications, 10);
         assert_eq!(b.max_atoms, 99);
         assert_eq!(b.max_wall, Some(Duration::from_millis(250)));

@@ -228,9 +228,8 @@ impl<'p> ChaseMachine<'p> {
             .iter()
             .map(|r| r.head().iter().any(|a| lost.contains(&a.pred)))
             .collect();
-        let mut survivors: Vec<Application> = Vec::with_capacity(
-            self.derivation.applications().len() - dead_set.len(),
-        );
+        let mut survivors: Vec<Application> =
+            Vec::with_capacity(self.derivation.applications().len() - dead_set.len());
         let mut released: Vec<(usize, Vec<Term>)> = Vec::with_capacity(dead_set.len());
         for (idx, app) in self.derivation.applications().iter().enumerate() {
             if dead_set.contains(&idx) {
@@ -545,11 +544,8 @@ pub fn canonical_form(instance: &Instance, dag: &DerivationDag) -> Vec<String> {
             Some(idx) => {
                 let (rule, ex, key) = {
                     let app = dag.app(idx);
-                    let ex = app
-                        .born_nulls
-                        .iter()
-                        .position(|&b| b == n)
-                        .expect("minter lists its null");
+                    let ex =
+                        app.born_nulls.iter().position(|&b| b == n).expect("minter lists its null");
                     (app.rule, ex, app.key.clone())
                 };
                 let args: Vec<String> = key.iter().map(|&t| term_name(t, dag, names)).collect();
@@ -616,10 +612,7 @@ pub fn check_support(instance: &Instance, dag: &DerivationDag) -> Result<(), Str
             let next = parents[child];
             match state.get(&next) {
                 Some(&IN_STACK) => {
-                    return Err(format!(
-                        "derivation cycle through atom #{}",
-                        next.index()
-                    ));
+                    return Err(format!("derivation cycle through atom #{}", next.index()));
                 }
                 Some(&DONE) => {}
                 _ => {
@@ -707,8 +700,7 @@ mod tests {
             "restored q(a) must be derived, not base"
         );
         check_support(m.instance(), m.derivation()).unwrap();
-        let reference =
-            scratch_canonical(&edited_program(&p, &edits), ChaseVariant::SemiOblivious);
+        let reference = scratch_canonical(&edited_program(&p, &edits), ChaseVariant::SemiOblivious);
         assert_eq!(canonical_form(m.instance(), m.derivation()), reference);
     }
 

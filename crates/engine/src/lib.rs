@@ -42,17 +42,16 @@ pub use checkpoint::{
     crc32, publish_snapshot, remove_snapshot, run_durable, write_snapshot_atomic, Checkpoint,
     CheckpointError,
 };
+pub use derivation::{Application, DerivationDag};
+pub use dot::derivation_to_dot;
 pub use guard::{Budget, CancelToken, StopReason};
 pub use incremental::{
     canonical_form, check_support, edited_program, parse_edit_script, Edit, RetractOutcome,
     UpdateError, UpdateReport,
 };
-pub use derivation::{Application, DerivationDag};
-pub use dot::derivation_to_dot;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSink, RuleMetrics};
 pub use serve::{serve, JobReport, JobSpec, ServeConfig, ServerHandle};
 pub use trace::{
-    core_seq, validate_trace_line, JsonlSink, MultiSink, ProgressReport, TraceEvent,
-    TraceSink,
+    core_seq, validate_trace_line, JsonlSink, MultiSink, ProgressReport, TraceEvent, TraceSink,
 };
 pub use variant::ChaseVariant;

@@ -43,21 +43,12 @@ pub struct Histogram {
 impl Histogram {
     /// An empty histogram with the given bucket bounds.
     pub fn new(bounds: &[u64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            count: 0,
-        }
+        Histogram { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], sum: 0, count: 0 }
     }
 
     /// Records one observation.
     fn observe(&mut self, value: u64) {
-        let slot = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+        let slot = self.bounds.iter().position(|&b| value <= b).unwrap_or(self.bounds.len());
         self.counts[slot] += 1;
         self.sum += value;
         self.count += 1;

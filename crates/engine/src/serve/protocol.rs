@@ -254,8 +254,7 @@ impl Parser<'_> {
                             if !(0xdc00..0xe000).contains(&lo) {
                                 return Err("invalid low surrogate".to_string());
                             }
-                            let code =
-                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                            let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
                             char::from_u32(code)
                         } else {
                             char::from_u32(hi)
@@ -431,11 +430,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             check_schema(
                 &fields,
                 "submit",
-                &["program", "variant", "steps", "timeout_ms", "max_atoms", "max_memory",
-                  "stream", "fresh"],
+                &[
+                    "program",
+                    "variant",
+                    "steps",
+                    "timeout_ms",
+                    "max_atoms",
+                    "max_memory",
+                    "stream",
+                    "fresh",
+                ],
             )?;
-            let program = take_str(&fields, "program")?
-                .ok_or("op `submit` requires a `program` field")?;
+            let program =
+                take_str(&fields, "program")?.ok_or("op `submit` requires a `program` field")?;
             let variant = match take_str(&fields, "variant")? {
                 None => None,
                 Some(raw) => Some(parse_variant_token(&raw)?),
@@ -457,8 +464,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             check_schema(
                 &fields,
                 "update",
-                &["job", "script", "variant", "steps", "timeout_ms", "max_atoms", "max_memory",
-                  "stream"],
+                &[
+                    "job",
+                    "script",
+                    "variant",
+                    "steps",
+                    "timeout_ms",
+                    "max_atoms",
+                    "max_memory",
+                    "stream",
+                ],
             )?;
             let job = take_str(&fields, "job")?.ok_or("op `update` requires a `job` field")?;
             let script =
@@ -575,8 +590,7 @@ mod tests {
 
     #[test]
     fn parse_object_decodes_escapes() {
-        let fields =
-            parse_object(r#"{"a":"x\ny\t\"z\"","b":42,"c":"A😀"}"#).unwrap();
+        let fields = parse_object(r#"{"a":"x\ny\t\"z\"","b":42,"c":"A😀"}"#).unwrap();
         assert_eq!(fields[0], ("a".into(), Value::Str("x\ny\t\"z\"".into())));
         assert_eq!(fields[1], ("b".into(), Value::Num(42)));
         assert_eq!(fields[2], ("c".into(), Value::Str("A\u{1f600}".into())));
@@ -659,10 +673,8 @@ mod tests {
 
     #[test]
     fn responses_are_flat_objects_the_parser_accepts() {
-        let line = response(
-            true,
-            &[("job", Value::Str("job-1".into())), ("queued", Value::Num(2))],
-        );
+        let line =
+            response(true, &[("job", Value::Str("job-1".into())), ("queued", Value::Num(2))]);
         assert_eq!(line, r#"{"ok":1,"job":"job-1","queued":2}"#);
         let fields = parse_object(&line).unwrap();
         assert_eq!(fields[0], ("ok".into(), Value::Num(1)));

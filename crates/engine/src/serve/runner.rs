@@ -187,12 +187,8 @@ pub fn run_job(
     // A publish failure (ENOSPC, EACCES, injected fault) is a durability
     // stop, not a server error: the job ends with StopReason::Io and the
     // named error text.
-    let (outcome, io_error) = run_durable(
-        &mut machine,
-        &budget,
-        spec.checkpoint_every,
-        Some(&paths.state_checkpoint()),
-    );
+    let (outcome, io_error) =
+        run_durable(&mut machine, &budget, spec.checkpoint_every, Some(&paths.state_checkpoint()));
     machine.flush_trace();
 
     let checkpoint_text = machine

@@ -36,8 +36,8 @@ use chasekit_core::display::program_to_string;
 use chasekit_core::Program;
 
 use crate::checkpoint::program_fingerprint;
-use crate::incremental::{edited_program, parse_edit_script};
 use crate::failpoint::{self, points};
+use crate::incremental::{edited_program, parse_edit_script};
 use crate::serve::protocol::{
     self, error_response, parse_request, read_line_capped, ReadLine, Request, SubmitOverrides,
     Value,
@@ -506,8 +506,7 @@ fn execute_job(
         .map_err(|e| format!("cannot publish result for {id}: {e}"))?;
 
     if report.outcome == StopReason::Saturated {
-        lock(&shared.cache)
-            .insert((fingerprint, result.variant.clone()), result.clone());
+        lock(&shared.cache).insert((fingerprint, result.variant.clone()), result.clone());
     }
 
     // Bounded on-disk retention. Under the admission lock so the floor
@@ -815,8 +814,7 @@ fn handle_update(
     let mut program = match Program::parse(&stored.program_text) {
         Ok(p) => p,
         Err(e) => {
-            let resp =
-                error_response("parse", &format!("stored program no longer parses: {e}"));
+            let resp = error_response("parse", &format!("stored program no longer parses: {e}"));
             return send_line(stream, &resp).is_ok();
         }
     };
@@ -994,10 +992,8 @@ fn handle_cancel(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> bool
 
 fn stats_response(shared: &Arc<Shared>) -> String {
     let queued = lock(&shared.queue).len() as u64;
-    let running = lock(&shared.jobs)
-        .values()
-        .filter(|e| matches!(e.phase, Phase::Running))
-        .count() as u64;
+    let running =
+        lock(&shared.jobs).values().filter(|e| matches!(e.phase, Phase::Running)).count() as u64;
     protocol::response(
         true,
         &[

@@ -60,8 +60,7 @@ impl JobResult {
         format!(
             "{RESULT_MAGIC}\noutcome {}\napplications {}\natoms {}\nnulls {}\n\
              fingerprint {:016x}\nvariant {}\n",
-            self.outcome, self.applications, self.atoms, self.nulls, self.fingerprint,
-            self.variant
+            self.outcome, self.applications, self.atoms, self.nulls, self.fingerprint, self.variant
         )
     }
 
@@ -321,8 +320,7 @@ impl JobStore {
     /// ids are not reused). Deterministic order (by sequence number), so
     /// recovered jobs re-enter the queue in admission order.
     pub fn scan(&self) -> io::Result<ScanReport> {
-        let mut report =
-            ScanReport { next_seq: self.read_seq_floor()?, ..ScanReport::default() };
+        let mut report = ScanReport { next_seq: self.read_seq_floor()?, ..ScanReport::default() };
         let mut seqs: Vec<(u64, String)> = Vec::new();
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
@@ -356,8 +354,8 @@ mod tests {
     use super::*;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("chasekit-store-test-{}-{name}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("chasekit-store-test-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

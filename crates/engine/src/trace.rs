@@ -304,15 +304,15 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
                 "{{\"seq\":{seq},\"ev\":\"ckpt-resume\",\"apps\":{applications},\
                  \"atoms\":{atoms},\"pending\":{pending}}}"
             ),
-            TraceEvent::Retract { atoms, apps } => format!(
-                "{{\"seq\":{seq},\"ev\":\"retract\",\"atoms\":{atoms},\"apps\":{apps}}}"
-            ),
-            TraceEvent::Rederive { apps, atoms } => format!(
-                "{{\"seq\":{seq},\"ev\":\"rederive\",\"apps\":{apps},\"atoms\":{atoms}}}"
-            ),
-            TraceEvent::EditApply { adds, retracts } => format!(
-                "{{\"seq\":{seq},\"ev\":\"edit\",\"adds\":{adds},\"retracts\":{retracts}}}"
-            ),
+            TraceEvent::Retract { atoms, apps } => {
+                format!("{{\"seq\":{seq},\"ev\":\"retract\",\"atoms\":{atoms},\"apps\":{apps}}}")
+            }
+            TraceEvent::Rederive { apps, atoms } => {
+                format!("{{\"seq\":{seq},\"ev\":\"rederive\",\"apps\":{apps},\"atoms\":{atoms}}}")
+            }
+            TraceEvent::EditApply { adds, retracts } => {
+                format!("{{\"seq\":{seq},\"ev\":\"edit\",\"adds\":{adds},\"retracts\":{retracts}}}")
+            }
             TraceEvent::GuardTrip { reason } => format!(
                 "{{\"seq\":{seq},\"ev\":\"guard\",\"reason\":{}}}",
                 chasekit_core::display::json_string(reason.keyword())
@@ -413,8 +413,7 @@ impl ProgressMeter {
         self.last = now;
         let elapsed_secs = now.duration_since(self.started).as_secs_f64();
         let done = applications.saturating_sub(self.base_applications);
-        let apps_per_sec =
-            if elapsed_secs > 0.0 { done as f64 / elapsed_secs } else { 0.0 };
+        let apps_per_sec = if elapsed_secs > 0.0 { done as f64 / elapsed_secs } else { 0.0 };
         (self.callback)(&ProgressReport {
             applications,
             atoms,

@@ -79,28 +79,22 @@ pub fn decide(program: &Program, variant: ChaseVariant, budget: &Budget) -> Deci
             let mut cfg = GuardedConfig::new(variant);
             cfg.max_applications = budget.max_applications;
             cfg.max_atoms = budget.max_atoms;
-            let report = decide_guarded(program, cfg)
-                .expect("class checked: guarded analysis cannot fail");
+            let report =
+                decide_guarded(program, cfg).expect("class checked: guarded analysis cannot fail");
             let effort = report.effort;
             match report.verdict {
-                GuardedVerdict::Terminates => Decision {
-                    terminates: Some(true),
-                    method: Method::ExactGuarded,
-                    class,
-                    effort,
-                },
+                GuardedVerdict::Terminates => {
+                    Decision { terminates: Some(true), method: Method::ExactGuarded, class, effort }
+                }
                 GuardedVerdict::Diverges(_) => Decision {
                     terminates: Some(false),
                     method: Method::ExactGuarded,
                     class,
                     effort,
                 },
-                GuardedVerdict::Unknown => Decision {
-                    terminates: None,
-                    method: Method::Undecided,
-                    class,
-                    effort,
-                },
+                GuardedVerdict::Unknown => {
+                    Decision { terminates: None, method: Method::Undecided, class, effort }
+                }
             }
         }
         RuleClass::General => decide_general(program, variant, budget, class),
@@ -176,12 +170,9 @@ fn decide_general(
     let report = pumping_decide(program, cfg).expect("variant checked above");
     effort.absorb(report.effort);
     match report.verdict {
-        GuardedVerdict::Terminates => Decision {
-            terminates: Some(true),
-            method: Method::CriticalSaturation,
-            class,
-            effort,
-        },
+        GuardedVerdict::Terminates => {
+            Decision { terminates: Some(true), method: Method::CriticalSaturation, class, effort }
+        }
         GuardedVerdict::Diverges(_) => {
             Decision { terminates: Some(false), method: Method::Pumping, class, effort }
         }
@@ -209,10 +200,7 @@ mod tests {
 
     #[test]
     fn guarded_inputs_use_the_pumping_procedure() {
-        let d = run(
-            "r(X, Y), p(Y) -> r(Y, Z), p(Z).",
-            ChaseVariant::SemiOblivious,
-        );
+        let d = run("r(X, Y), p(Y) -> r(Y, Z), p(Z).", ChaseVariant::SemiOblivious);
         assert_eq!(d.terminates, Some(false));
         assert_eq!(d.method, Method::ExactGuarded);
         assert_eq!(d.class, RuleClass::Guarded);

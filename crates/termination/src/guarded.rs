@@ -56,8 +56,7 @@
 
 use crate::effort::CheckerEffort;
 use chasekit_core::{
-    Atom, AtomId, AtomRef, CriticalInstance, FxHashMap, FxHashSet, NullId, Program, RuleClass,
-    Term,
+    Atom, AtomId, AtomRef, CriticalInstance, FxHashMap, FxHashSet, NullId, Program, RuleClass, Term,
 };
 use chasekit_engine::{ChaseConfig, ChaseMachine, ChaseStats, ChaseVariant};
 
@@ -160,7 +159,10 @@ pub struct GuardedReport {
 /// This is the paper's Theorem 4 procedure: for guarded inputs the pumping
 /// search is complete (modulo fuel), so `Terminates`/`Diverges` answers are
 /// both proofs.
-pub fn decide_guarded(program: &Program, config: GuardedConfig) -> Result<GuardedReport, GuardedError> {
+pub fn decide_guarded(
+    program: &Program,
+    config: GuardedConfig,
+) -> Result<GuardedReport, GuardedError> {
     if program.class() > RuleClass::Guarded {
         return Err(GuardedError::NotGuarded);
     }
@@ -173,7 +175,10 @@ pub fn decide_guarded(program: &Program, config: GuardedConfig) -> Result<Guarde
 /// the replay argument only needs the derivation-support invariants), so
 /// this is available for any rule set; what is lost outside the guarded
 /// class is the completeness guarantee — expect more `Unknown`s.
-pub fn pumping_decide(program: &Program, config: GuardedConfig) -> Result<GuardedReport, GuardedError> {
+pub fn pumping_decide(
+    program: &Program,
+    config: GuardedConfig,
+) -> Result<GuardedReport, GuardedError> {
     if config.variant == ChaseVariant::Restricted {
         return Err(GuardedError::UnsupportedVariant);
     }
@@ -377,8 +382,7 @@ fn check_certificate(
     let a = instance.atom(a_id);
 
     let a_nulls: FxHashSet<NullId> = a.nulls().into_iter().collect();
-    let moved: FxHashSet<NullId> =
-        phi.iter().filter(|(n, m)| n != m).map(|(&n, _)| n).collect();
+    let moved: FxHashSet<NullId> = phi.iter().filter(|(n, m)| n != m).map(|(&n, _)| n).collect();
     if moved.is_empty() {
         return CertOutcome::Failed;
     }
@@ -397,15 +401,11 @@ fn check_certificate(
     // the pair — if it fails, the pair can never be certified.
     // `support_born` is completed during the walk below, so the (D) check
     // proper happens after it; here we only resolve the identity nulls.
-    let creator = derivation
-        .creator_of(b_id)
-        .expect("b has a creator by construction");
+    let creator = derivation.creator_of(b_id).expect("b has a creator by construction");
     let identity_nulls: Vec<NullId> = match config.variant {
-        ChaseVariant::SemiOblivious => creator
-            .frontier
-            .iter()
-            .filter_map(|t| t.as_null())
-            .collect(),
+        ChaseVariant::SemiOblivious => {
+            creator.frontier.iter().filter_map(|t| t.as_null()).collect()
+        }
         ChaseVariant::Oblivious => {
             let mut nulls = Vec::new();
             for &p in &creator.parents {
@@ -462,10 +462,7 @@ fn check_certificate(
         }
     }
 
-    if !identity_nulls
-        .iter()
-        .any(|n| moved.contains(n) || support_born.contains(n))
-    {
+    if !identity_nulls.iter().any(|n| moved.contains(n) || support_born.contains(n)) {
         return CertOutcome::Failed;
     }
 
@@ -606,8 +603,7 @@ mod tests {
     #[test]
     fn certificate_reports_chain() {
         let p = Program::parse("p(X, Y) -> p(Y, Z).").unwrap();
-        let report =
-            decide_guarded(&p, GuardedConfig::new(ChaseVariant::SemiOblivious)).unwrap();
+        let report = decide_guarded(&p, GuardedConfig::new(ChaseVariant::SemiOblivious)).unwrap();
         match report.verdict {
             GuardedVerdict::Diverges(cert) => {
                 assert!(cert.chain_length >= 1);

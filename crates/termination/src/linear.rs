@@ -41,9 +41,7 @@
 //! refinement is strictly sharper (Theorem 2; see the tests).
 
 use chasekit_acyclicity::DiGraph;
-use chasekit_core::{
-    ConstId, FxHashMap, Program, RuleClass, Term, Tgd, VarId,
-};
+use chasekit_core::{ConstId, FxHashMap, Program, RuleClass, Term, Tgd, VarId};
 use chasekit_engine::ChaseVariant;
 
 use crate::shape::{Label, Shape, ShapeInterner};
@@ -278,10 +276,7 @@ impl LinearAnalysis {
 
         for pred in program.rule_predicates() {
             if let Some(&(_, c)) = reserved.iter().find(|(p, _)| *p == pred) {
-                let (id, is_new) = interner.intern(Shape {
-                    pred,
-                    labels: vec![Label::Const(c)],
-                });
+                let (id, is_new) = interner.intern(Shape { pred, labels: vec![Label::Const(c)] });
                 if is_new {
                     worklist.push(id);
                 }
@@ -318,8 +313,7 @@ impl LinearAnalysis {
                 let Some(binding) = match_body(&rule.body()[0], &shape) else {
                     continue;
                 };
-                let step =
-                    apply_rule(rule, shape_id, &binding, &mut interner, &mut worklist);
+                let step = apply_rule(rule, shape_id, &binding, &mut interner, &mut worklist);
                 steps.push(step);
             }
         }
@@ -591,10 +585,7 @@ mod tests {
     #[test]
     fn non_linear_input_is_rejected() {
         let p = parse("p(X), q(X) -> r(X).");
-        assert_eq!(
-            LinearAnalysis::explore(&p, false).err(),
-            Some(LinearError::NotLinear)
-        );
+        assert_eq!(LinearAnalysis::explore(&p, false).err(), Some(LinearError::NotLinear));
     }
 
     #[test]

@@ -152,11 +152,7 @@ mod tests {
 
     #[test]
     fn entailment_fixpoint_is_correct() {
-        let p = PropositionalProgram::new(
-            &[(&["a", "b"], "c"), (&["c"], "d")],
-            &["a", "b"],
-            "d",
-        );
+        let p = PropositionalProgram::new(&[(&["a", "b"], "c"), (&["c"], "d")], &["a", "b"], "d");
         assert!(p.entails_goal());
         let q = PropositionalProgram::new(&[(&["a", "b"], "c")], &["a"], "c");
         assert!(!q.entails_goal());
@@ -171,11 +167,7 @@ mod tests {
 
     #[test]
     fn entailed_goal_makes_the_chase_diverge() {
-        let p = PropositionalProgram::new(
-            &[(&["a", "b"], "c"), (&["c"], "d")],
-            &["a", "b"],
-            "d",
-        );
+        let p = PropositionalProgram::new(&[(&["a", "b"], "c"), (&["c"], "d")], &["a", "b"], "d");
         assert!(p.entails_goal());
         let looped = p.looped().unwrap();
         assert_eq!(decide(&looped, ChaseVariant::SemiOblivious), Some(false));

@@ -75,10 +75,7 @@ pub fn is_single_head_linear(program: &Program) -> bool {
         return false;
     }
     let mut head_preds = chasekit_core::FxHashSet::default();
-    program
-        .rules()
-        .iter()
-        .all(|r| r.is_single_head() && head_preds.insert(r.head()[0].pred))
+    program.rules().iter().all(|r| r.is_single_head() && head_preds.insert(r.head()[0].pred))
 }
 
 /// The exact decision for single-head linear rule sets; `None` if the rule
@@ -100,9 +97,7 @@ pub fn materialize_start(program: &mut Program, start: &Shape) -> chasekit_core:
         .enumerate()
         .map(|(i, &l)| match l {
             Label::Const(c) if c.index() < program.vocab.const_count() => Term::Const(c),
-            Label::Const(_) => {
-                Term::Const(program.vocab.intern_const(&format!("w{i}\u{2605}")))
-            }
+            Label::Const(_) => Term::Const(program.vocab.intern_const(&format!("w{i}\u{2605}"))),
             Label::Null(_) => unreachable!("start shapes carry constants only"),
         })
         .collect();
@@ -124,16 +119,11 @@ pub fn find_divergent_start(program: &Program) -> Option<Shape> {
     // Start-shape constant pool: the rule constants plus `arity` many fresh
     // database constants (canonicalized, so `max_arity` of them suffice).
     let rule_consts = program.rule_constants();
-    let max_arity = program
-        .rule_predicates()
-        .iter()
-        .map(|&p| program.vocab.arity(p))
-        .max()
-        .unwrap_or(0);
+    let max_arity =
+        program.rule_predicates().iter().map(|&p| program.vocab.arity(p)).max().unwrap_or(0);
     // Fresh synthetic constants live beyond the program's constant space.
     let fresh_base = program.vocab.const_count();
-    let fresh: Vec<ConstId> =
-        (0..max_arity).map(|i| ConstId::from_index(fresh_base + i)).collect();
+    let fresh: Vec<ConstId> = (0..max_arity).map(|i| ConstId::from_index(fresh_base + i)).collect();
 
     for pred in program.rule_predicates() {
         let arity = program.vocab.arity(pred);
@@ -261,7 +251,13 @@ fn diverges_from_start(program: &Program, start: &Shape) -> bool {
                 }
             }
 
-            steps.push(Step { from: shape_id, to, regular, special_sources, existential_positions });
+            steps.push(Step {
+                from: shape_id,
+                to,
+                regular,
+                special_sources,
+                existential_positions,
+            });
         }
     }
 
@@ -341,7 +337,7 @@ pub fn restricted_verdict(program: &Program) -> RestrictedVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chasekit_engine::{chase, Budget, StopReason, ChaseVariant};
+    use chasekit_engine::{chase, Budget, ChaseVariant, StopReason};
 
     fn verdict(src: &str) -> RestrictedVerdict {
         restricted_verdict(&Program::parse(src).unwrap())

@@ -69,8 +69,5 @@ fn main() {
     // The sufficient conditions agree here, but the exact procedure is
     // what certifies the *safe* ontology too (weak acyclicity happens to
     // suffice for it — check):
-    println!(
-        "weak acyclicity on the safe ontology: {}",
-        is_weakly_acyclic(&safe)
-    );
+    println!("weak acyclicity on the safe ontology: {}", is_weakly_acyclic(&safe));
 }

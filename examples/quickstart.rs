@@ -26,10 +26,7 @@ fn main() {
 
     // Run the chase for a few steps to watch it not terminate.
     let run = chase_facts(&program, ChaseVariant::SemiOblivious, &Budget::applications(6));
-    println!(
-        "Semi-oblivious chase after {} steps ({:?}):",
-        run.stats.applications, run.outcome
-    );
+    println!("Semi-oblivious chase after {} steps ({:?}):", run.stats.applications, run.outcome);
     print!("{}", instance_to_string(&run.instance, &program.vocab));
 
     // Decide termination on ALL databases (exact: the rules are simple

@@ -31,7 +31,14 @@ fn main() {
         ["rule set", "class", "WA ", "RA ", "JA ", "aGRD", "CT-so", "CT-o", "portfolio method"];
     println!(
         "{:<22} {:<13} | {} {} {} {} | {:<11} {:<11} | {:?}",
-        header[0], header[1], header[2], header[3], header[4], header[5], header[6], header[7],
+        header[0],
+        header[1],
+        header[2],
+        header[3],
+        header[4],
+        header[5],
+        header[6],
+        header[7],
         header[8]
     );
     println!("{}", "-".repeat(110));

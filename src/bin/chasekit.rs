@@ -54,7 +54,8 @@ use chasekit::engine::{
 };
 use chasekit::prelude::*;
 
-const USAGE: &str = "usage: chasekit <classify|conditions|decide|explain|chase|critical> <rules-file> [options]
+const USAGE: &str =
+    "usage: chasekit <classify|conditions|decide|explain|chase|critical> <rules-file> [options]
        chasekit update <rules-file> --edits SCRIPT [options]
        chasekit serve --store DIR [options]
 options:
@@ -138,10 +139,7 @@ fn parse_args() -> Result<Args, String> {
     let known =
         ["classify", "conditions", "decide", "explain", "chase", "critical", "serve", "update"];
     if !known.contains(&command.as_str()) {
-        return Err(format!(
-            "unknown command `{command}` (expected one of: {})",
-            known.join(", ")
-        ));
+        return Err(format!("unknown command `{command}` (expected one of: {})", known.join(", ")));
     }
     // `serve` takes no rules file: programs arrive over the wire.
     let file = if command == "serve" {
@@ -185,16 +183,14 @@ fn parse_args() -> Result<Args, String> {
         flag: &str,
     ) -> Result<T, String> {
         let raw = value(argv, flag)?;
-        raw.parse()
-            .map_err(|_| format!("`{flag}` expects a non-negative integer, got `{raw}`"))
+        raw.parse().map_err(|_| format!("`{flag}` expects a non-negative integer, got `{raw}`"))
     }
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--variant" => {
                 let raw = value(&mut argv, "--variant")?;
-                out.variant = ChaseVariant::from_alias(&raw).ok_or_else(|| {
-                    format!("`--variant` expects o|so|restricted, got `{raw}`")
-                })?;
+                out.variant = ChaseVariant::from_alias(&raw)
+                    .ok_or_else(|| format!("`--variant` expects o|so|restricted, got `{raw}`"))?;
             }
             "--steps" => out.steps = number(&mut argv, "--steps")?,
             "--fuel" => out.fuel = number(&mut argv, "--fuel")?,
@@ -259,11 +255,9 @@ fn parse_args() -> Result<Args, String> {
         return Err("`--store` is only valid with `serve`".to_string());
     }
     if out.checkpoint.is_some() && out.dot.is_some() {
-        return Err(
-            "`--checkpoint` cannot be combined with `--dot` \
+        return Err("`--checkpoint` cannot be combined with `--dot` \
              (derivation tracking is not checkpointable)"
-                .to_string(),
-        );
+            .to_string());
     }
     if out.checkpoint_every.is_some() && out.checkpoint.is_none() && out.command != "serve" {
         return Err("`--checkpoint-every` requires `--checkpoint`".to_string());
@@ -525,7 +519,10 @@ fn main() -> ExitCode {
         "decide" => {
             if args.variant == ChaseVariant::Restricted {
                 let v = restricted_verdict(&program);
-                println!("restricted chase on all databases: {:?} via {:?}", v.terminates, v.method);
+                println!(
+                    "restricted chase on all databases: {:?} via {:?}",
+                    v.terminates, v.method
+                );
                 return ExitCode::SUCCESS;
             }
             let budget = Budget::applications(args.fuel);
@@ -640,12 +637,8 @@ fn main() -> ExitCode {
                 budget = budget.with_memory(bytes);
             }
             let checkpoint = args.checkpoint.as_deref().map(std::path::Path::new);
-            let (outcome, io_error) = run_durable(
-                &mut machine,
-                &budget,
-                args.checkpoint_every.unwrap_or(0),
-                checkpoint,
-            );
+            let (outcome, io_error) =
+                run_durable(&mut machine, &budget, args.checkpoint_every.unwrap_or(0), checkpoint);
             if let Some(msg) = &io_error {
                 eprintln!("{msg}");
             }
@@ -667,7 +660,9 @@ fn main() -> ExitCode {
                     // replay the old state on the next invocation, so a
                     // failed removal is a durability error, not noise.
                     match remove_snapshot(path) {
-                        Ok(true) => println!("run saturated: checkpoint {} removed", path.display()),
+                        Ok(true) => {
+                            println!("run saturated: checkpoint {} removed", path.display())
+                        }
                         Ok(false) => {}
                         Err(e) => {
                             eprintln!("cannot remove stale checkpoint {}: {e}", path.display());
@@ -772,7 +767,7 @@ fn main() -> ExitCode {
         "explain" => {
             use chasekit::core::display::atom_to_string;
             use chasekit::core::RuleClass;
-            use chasekit::termination::{LinearAnalysis, Label as ShapeLabel};
+            use chasekit::termination::{Label as ShapeLabel, LinearAnalysis};
             let variant = if args.variant == ChaseVariant::Restricted {
                 ChaseVariant::SemiOblivious
             } else {
@@ -781,17 +776,17 @@ fn main() -> ExitCode {
             println!("class: {}", program.class());
             match program.class() {
                 RuleClass::SimpleLinear | RuleClass::Linear => {
-                    let analysis = LinearAnalysis::explore(&program, false)
-                        .expect("class checked");
-                    let (decision, witness) = analysis
-                        .decide_with_witness(variant)
-                        .expect("variant checked");
+                    let analysis = LinearAnalysis::explore(&program, false).expect("class checked");
+                    let (decision, witness) =
+                        analysis.decide_with_witness(variant).expect("variant checked");
                     println!(
                         "reachable shapes: {}; overlay: {} nodes, {} edges",
                         decision.shapes, decision.position_nodes, decision.position_edges
                     );
                     match witness {
-                        None => println!("no dangerous cycle: the {variant} chase terminates on all databases"),
+                        None => println!(
+                            "no dangerous cycle: the {variant} chase terminates on all databases"
+                        ),
                         Some(w) => {
                             let render = |s: &chasekit::termination::Shape| {
                                 let labels: Vec<String> = s

@@ -64,12 +64,12 @@ pub mod prelude {
         Atom, CriticalInstance, Instance, Program, RuleBuilder, RuleClass, Term, Tgd,
     };
     pub use chasekit_engine::{
-        chase, chase_facts, is_model, Budget, CancelToken, ChaseMachine, ChaseVariant,
-        Checkpoint, StopReason,
+        chase, chase_facts, is_model, Budget, CancelToken, ChaseMachine, ChaseVariant, Checkpoint,
+        StopReason,
     };
     pub use chasekit_termination::{
-        decide, decide_guarded, decide_linear, is_mfa, restricted_verdict, Decision,
-        GuardedConfig, GuardedVerdict, Method,
+        decide, decide_guarded, decide_linear, is_mfa, restricted_verdict, Decision, GuardedConfig,
+        GuardedVerdict, Method,
     };
 }
 

@@ -63,11 +63,8 @@ fn warm_scratch_matching_does_not_allocate() {
         instance.insert(f.clone());
     }
 
-    let rule_bodies: Vec<(Vec<chasekit_core::Atom>, usize)> = program
-        .rules()
-        .iter()
-        .map(|r| (r.body().to_vec(), r.vars().len()))
-        .collect();
+    let rule_bodies: Vec<(Vec<chasekit_core::Atom>, usize)> =
+        program.rules().iter().map(|r| (r.body().to_vec(), r.vars().len())).collect();
     let max_vars = rule_bodies.iter().map(|&(_, v)| v).max().unwrap();
 
     let mut scratch = MatchScratch::default();

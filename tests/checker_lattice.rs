@@ -26,7 +26,6 @@ use proptest::prelude::*;
 use chasekit::acyclicity::{
     is_grd_acyclic, is_jointly_acyclic, is_richly_acyclic, is_weakly_acyclic,
 };
-use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
 use chasekit::datagen::{
     critical_constants, dl_lite_r, lubm, ontology_corpus, random_mixed, RandomConfig,
 };
@@ -34,6 +33,7 @@ use chasekit::prelude::*;
 use chasekit::termination::{
     is_critically_richly_acyclic, is_critically_weakly_acyclic, mfa_status, MfaStatus,
 };
+use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
 
 /// Checker fuel. Deliberately far below [`Budget::default`]: diverging
 /// general programs grow the critical-instance chase until the atom cap,
@@ -101,9 +101,7 @@ fn lattice_violations(name: &str, p: &Program) -> Vec<String> {
 
     // Guarded inputs: the dispatcher IS the pumping procedure.
     if p.class() <= RuleClass::Guarded {
-        for (variant, d) in
-            [(ChaseVariant::SemiOblivious, so), (ChaseVariant::Oblivious, ob)]
-        {
+        for (variant, d) in [(ChaseVariant::SemiOblivious, so), (ChaseVariant::Oblivious, ob)] {
             let mut cfg = GuardedConfig::new(variant);
             cfg.max_applications = budget.max_applications;
             cfg.max_atoms = budget.max_atoms;
@@ -141,11 +139,7 @@ fn lattice_holds_on_the_ontology_families() {
     let mut violations = Vec::new();
     for size in [2usize, 4, 7] {
         for seed in 0..25u64 {
-            for lp in [
-                dl_lite_r(size, seed),
-                lubm(size, seed),
-                critical_constants(size, seed),
-            ] {
+            for lp in [dl_lite_r(size, seed), lubm(size, seed), critical_constants(size, seed)] {
                 violations.extend(lattice_violations(&lp.name, &lp.program));
             }
         }

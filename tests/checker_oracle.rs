@@ -23,13 +23,13 @@
 
 use std::path::PathBuf;
 
-use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
-use chasekit::datagen::{corpus, ontology_corpus};
-use chasekit::prelude::*;
-use chasekit::termination::{mfa_status, MfaStatus};
 use chasekit::acyclicity::{
     is_grd_acyclic, is_jointly_acyclic, is_richly_acyclic, is_weakly_acyclic,
 };
+use chasekit::datagen::{corpus, ontology_corpus};
+use chasekit::prelude::*;
+use chasekit::termination::{mfa_status, MfaStatus};
+use chasekit_bench::truth::{critical_chase_truth, ChaseTruth};
 
 fn checker_budget() -> Budget {
     Budget { max_applications: 50_000, max_atoms: 500_000, ..Budget::unlimited() }
@@ -142,14 +142,16 @@ fn full_table() -> (String, Vec<String>) {
         let (line, bad) = verdict_line(&lp.name, &lp.program);
         // The corpus's analytic labels participate in the oracle too.
         for (label, got, tag) in [
-            (lp.so_terminates, decide(
-                &lp.program,
-                ChaseVariant::SemiOblivious,
-                &checker_budget(),
-            )
-            .terminates, "so"),
-            (lp.o_terminates, decide(&lp.program, ChaseVariant::Oblivious, &checker_budget())
-                .terminates, "o"),
+            (
+                lp.so_terminates,
+                decide(&lp.program, ChaseVariant::SemiOblivious, &checker_budget()).terminates,
+                "so",
+            ),
+            (
+                lp.o_terminates,
+                decide(&lp.program, ChaseVariant::Oblivious, &checker_budget()).terminates,
+                "o",
+            ),
         ] {
             if let Some(want) = label {
                 if got != Some(want) {
@@ -189,10 +191,7 @@ fn verdict_table_matches_golden_and_the_chase() {
     // Per-member diff first: a drifting checker names the member it
     // drifted on instead of a wall-of-text mismatch.
     for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(
-            g, w,
-            "verdict drift (regenerate with UPDATE_GOLDEN=1 if intentional)"
-        );
+        assert_eq!(g, w, "verdict drift (regenerate with UPDATE_GOLDEN=1 if intentional)");
     }
     assert_eq!(got, want, "verdict table changed shape (member added/removed?)");
 }

@@ -13,10 +13,8 @@ fn write_rules(name: &str, content: &str) -> std::path::PathBuf {
 }
 
 fn run(args: &[&str]) -> (String, String, Option<i32>) {
-    let out = Command::new(env!("CARGO_BIN_EXE_chasekit"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_chasekit")).args(args).output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -26,10 +24,8 @@ fn run(args: &[&str]) -> (String, String, Option<i32>) {
 
 #[test]
 fn classify_reports_class_and_per_rule_details() {
-    let path = write_rules(
-        "classify.rules",
-        "person(X) -> hasFather(X, Y), person(Y). person(bob).",
-    );
+    let path =
+        write_rules("classify.rules", "person(X) -> hasFather(X, Y), person(Y). person(bob).");
     let (stdout, _, code) = run(&["classify", path.to_str().unwrap()]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("class: simple-linear"));
@@ -50,8 +46,7 @@ fn decide_answers_for_both_variants() {
 #[test]
 fn decide_restricted_uses_the_future_work_procedure() {
     let path = write_rules("restricted.rules", "p(X, Y) -> p(Y, Z).");
-    let (stdout, _, code) =
-        run(&["decide", path.to_str().unwrap(), "--variant", "restricted"]);
+    let (stdout, _, code) = run(&["decide", path.to_str().unwrap(), "--variant", "restricted"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("Some(false)"), "{stdout}");
 }
@@ -126,10 +121,7 @@ fn explain_shows_a_dangerous_cycle_for_linear_sets() {
 
 #[test]
 fn explain_shows_a_pumping_certificate_for_guarded_sets() {
-    let path = write_rules(
-        "explain-guarded.rules",
-        "r(X, Y), p(Y) -> r(Y, Z), p(Z).",
-    );
+    let path = write_rules("explain-guarded.rules", "r(X, Y), p(Y) -> r(Y, Z), p(Z).");
     let (stdout, _, code) = run(&["explain", path.to_str().unwrap()]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("pumping certificate"), "{stdout}");
@@ -148,12 +140,8 @@ fn explain_reports_termination_cleanly() {
 fn chase_writes_a_dot_file() {
     let path = write_rules("dot.rules", "p(a). p(X) -> q(X, Y).");
     let dot_path = std::env::temp_dir().join("chasekit-cli-tests").join("out.dot");
-    let (stdout, _, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--dot",
-        dot_path.to_str().unwrap(),
-    ]);
+    let (stdout, _, code) =
+        run(&["chase", path.to_str().unwrap(), "--dot", dot_path.to_str().unwrap()]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("derivation DAG written"));
     let dot = std::fs::read_to_string(&dot_path).unwrap();
@@ -164,8 +152,7 @@ fn chase_writes_a_dot_file() {
 #[test]
 fn bad_variant_is_named_in_the_error() {
     let path = write_rules("bad-variant.rules", "p(X) -> q(X).");
-    let (_, stderr, code) =
-        run(&["chase", path.to_str().unwrap(), "--variant", "sideways"]);
+    let (_, stderr, code) = run(&["chase", path.to_str().unwrap(), "--variant", "sideways"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--variant"), "{stderr}");
     assert!(stderr.contains("sideways"), "{stderr}");
@@ -229,14 +216,8 @@ fn exhausted_step_budget_exits_10() {
 #[test]
 fn wall_clock_deadline_exits_12() {
     let path = write_rules("timeout.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
-    let (stdout, _, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--steps",
-        "100000000",
-        "--timeout-ms",
-        "30",
-    ]);
+    let (stdout, _, code) =
+        run(&["chase", path.to_str().unwrap(), "--steps", "100000000", "--timeout-ms", "30"]);
     assert_eq!(code, Some(12), "{stdout}");
     assert!(stdout.contains("wall-clock"), "{stdout}");
 }
@@ -244,14 +225,8 @@ fn wall_clock_deadline_exits_12() {
 #[test]
 fn memory_ceiling_exits_13() {
     let path = write_rules("mem.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
-    let (stdout, _, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--steps",
-        "100000000",
-        "--max-atoms-mem",
-        "20000",
-    ]);
+    let (stdout, _, code) =
+        run(&["chase", path.to_str().unwrap(), "--steps", "100000000", "--max-atoms-mem", "20000"]);
     assert_eq!(code, Some(13), "{stdout}");
     assert!(stdout.contains("memory"), "{stdout}");
 }
@@ -306,8 +281,7 @@ fn threaded_chase_keeps_the_exit_code_contract() {
     let diverging = write_rules("threads-codes.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
     let saturating = write_rules("threads-sat.rules", "e(a, b). e(X, Y) -> t(Y, X).");
 
-    let (stdout, _, code) =
-        run(&["chase", saturating.to_str().unwrap(), "--threads", "4"]);
+    let (stdout, _, code) = run(&["chase", saturating.to_str().unwrap(), "--threads", "4"]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("saturated"), "{stdout}");
 
@@ -439,12 +413,8 @@ fn saturating_run_removes_its_checkpoint() {
     let path = write_rules("ckpt-sat.rules", "e(a, b). e(X, Y) -> t(Y, X).");
     let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("sat.ckpt");
     let _ = std::fs::remove_file(&ckpt);
-    let (stdout, _, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-    ]);
+    let (stdout, _, code) =
+        run(&["chase", path.to_str().unwrap(), "--checkpoint", ckpt.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(!ckpt.exists(), "saturated run must not leave a checkpoint behind");
 }
@@ -517,20 +487,12 @@ fn progress_zero_and_non_numeric_are_named_in_the_error() {
 #[test]
 fn unwritable_trace_and_metrics_files_exit_1() {
     let path = write_rules("trace-unwritable.rules", "p(a). p(X) -> q(X).");
-    let (_, stderr, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--trace",
-        "/nonexistent-dir/out.jsonl",
-    ]);
+    let (_, stderr, code) =
+        run(&["chase", path.to_str().unwrap(), "--trace", "/nonexistent-dir/out.jsonl"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("cannot create trace file"), "{stderr}");
-    let (_, stderr, code) = run(&[
-        "chase",
-        path.to_str().unwrap(),
-        "--metrics",
-        "/nonexistent-dir/metrics.json",
-    ]);
+    let (_, stderr, code) =
+        run(&["chase", path.to_str().unwrap(), "--metrics", "/nonexistent-dir/metrics.json"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("cannot create metrics file"), "{stderr}");
 }
@@ -542,8 +504,7 @@ fn traced_chase_output_is_identical_to_untraced() {
         "e(a, b). e(X, Y) -> e(Y, Z). e(X, Y) -> f(Y, W). f(X, Y) -> e(Y, Z).",
     );
     let trace = std::env::temp_dir().join("chasekit-cli-tests").join("free.jsonl");
-    let (plain_out, _, plain_code) =
-        run(&["chase", path.to_str().unwrap(), "--steps", "80"]);
+    let (plain_out, _, plain_code) = run(&["chase", path.to_str().unwrap(), "--steps", "80"]);
     let (traced_out, _, traced_code) = run(&[
         "chase",
         path.to_str().unwrap(),
@@ -701,9 +662,8 @@ fn journal_flags_are_validated_up_front() {
     let (_, stderr, code) = run(&["chase", rules, "--checkpoint-every", "50"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--checkpoint-every"), "{stderr}");
-    let (_, stderr, code) = run(&[
-        "chase", rules, "--checkpoint", "/tmp/x.ckpt", "--checkpoint-every", "0",
-    ]);
+    let (_, stderr, code) =
+        run(&["chase", rules, "--checkpoint", "/tmp/x.ckpt", "--checkpoint-every", "0"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--checkpoint-every"), "{stderr}");
     assert!(stderr.contains("0"), "{stderr}");
@@ -764,9 +724,14 @@ fn recovery_reports_replayed_records_and_exits_3() {
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&reference);
     let args = [
-        "chase", rules, "--steps", "60",
-        "--checkpoint", ckpt.to_str().unwrap(),
-        "--checkpoint-every", "20",
+        "chase",
+        rules,
+        "--steps",
+        "60",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-every",
+        "20",
     ];
 
     // Simulated kill while publishing the second periodic snapshot: leg 1
@@ -805,7 +770,8 @@ fn saturating_journaled_run_removes_both_files() {
     let tmp = dir.join("jsat.ckpt.tmp");
     let _ = std::fs::remove_file(&ckpt);
     // Park the run before its only application, then plant a torn tmp.
-    let (_, _, code) = run(&["chase", rules, "--steps", "0", "--checkpoint", ckpt.to_str().unwrap()]);
+    let (_, _, code) =
+        run(&["chase", rules, "--steps", "0", "--checkpoint", ckpt.to_str().unwrap()]);
     assert_eq!(code, Some(10));
     std::fs::write(&tmp, "torn").unwrap();
     let (stdout, _, code) = run(&["chase", rules, "--checkpoint", ckpt.to_str().unwrap()]);
@@ -866,14 +832,7 @@ fn final_checkpoint_write_failure_exits_15_with_a_named_error() {
     // No periodic legs, so the only snapshot write is the final
     // budget-exhausted publication — and it fails.
     let (stdout, stderr, code) = run_env(
-        &[
-            "chase",
-            path.to_str().unwrap(),
-            "--steps",
-            "30",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ],
+        &["chase", path.to_str().unwrap(), "--steps", "30", "--checkpoint", ckpt.to_str().unwrap()],
         &[("CHASEKIT_FAILPOINTS", "snapshot.write=error@1")],
     );
     assert_eq!(code, Some(15), "stdout: {stdout}\nstderr: {stderr}");
@@ -889,9 +848,14 @@ fn recovery_publication_failure_exits_15() {
     let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("recover-io.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let args = [
-        "chase", rules, "--steps", "60",
-        "--checkpoint", ckpt.to_str().unwrap(),
-        "--checkpoint-every", "20",
+        "chase",
+        rules,
+        "--steps",
+        "60",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-every",
+        "20",
     ];
     // Kill a durable run after leg 1, then make the resumed run's first
     // publication fail: the rerun must surface the durability failure, not
@@ -988,8 +952,7 @@ fn update_prints_the_chase_of_the_edited_program() {
         ]);
         assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
         assert!(stdout.contains("edits: 1 adds (0 already present), 1 retracts (0 absent)"));
-        let (rechase, _, code) =
-            run(&["chase", edited.to_str().unwrap(), "--variant", variant]);
+        let (rechase, _, code) = run(&["chase", edited.to_str().unwrap(), "--variant", variant]);
         assert_eq!(code, Some(0), "{rechase}");
         let repaired = printed_instance_up_to_nulls(&stdout);
         assert_eq!(repaired.len(), 8, "{stdout}");

@@ -282,12 +282,8 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
         failpoint::clear();
         let reference = SharedBuf(Arc::new(Mutex::new(Vec::new())));
         let sink: Box<dyn TraceSink> = Box::new(JsonlSink::new(reference.clone(), &program));
-        let mut machine = ChaseMachine::new_with_trace(
-            &program,
-            ChaseConfig::of(variant),
-            initial.clone(),
-            sink,
-        );
+        let mut machine =
+            ChaseMachine::new_with_trace(&program, ChaseConfig::of(variant), initial.clone(), sink);
         machine.run(&budget(80));
         machine.flush_trace();
         let want = String::from_utf8(reference.0.lock().unwrap().clone()).unwrap();
@@ -343,7 +339,8 @@ fn journal_failure_stops_with_io_at_a_boundary() {
 
     // The machine is still consistent: it snapshots, resumes, and runs on
     // exactly like an uninterrupted run.
-    let mut resumed = Checkpoint::from_text(&state_text(&machine)).unwrap().resume(&program).unwrap();
+    let mut resumed =
+        Checkpoint::from_text(&state_text(&machine)).unwrap().resume(&program).unwrap();
     resumed.run(&budget(100));
     let mut straight = ChaseMachine::new(&program, cfg, initial.clone());
     straight.run(&budget(100));
@@ -374,11 +371,11 @@ fn example1_job(every: u64) -> JobSpec {
 fn needs_recovery_spots_unreplayed_tails() {
     let _g = failpoint_guard();
     failpoint::clear();
-    let program =
-        Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
-    let want = run_job(&program, &example1_job(0), &scratch("tmp-reference"), CancelToken::new(), None)
-        .unwrap()
-        .checkpoint_text;
+    let program = Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
+    let want =
+        run_job(&program, &example1_job(0), &scratch("tmp-reference"), CancelToken::new(), None)
+            .unwrap()
+            .checkpoint_text;
 
     // A torn second publication: state.ckpt holds leg 1, state.ckpt.tmp
     // the first 40 bytes of leg 2.
@@ -652,11 +649,7 @@ fn hardened_checkpoint_parser_reports_locations() {
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
-    let mut m = ChaseMachine::new(
-        &program,
-        ChaseConfig::of(ChaseVariant::SemiOblivious),
-        initial,
-    );
+    let mut m = ChaseMachine::new(&program, ChaseConfig::of(ChaseVariant::SemiOblivious), initial);
     m.run(&budget(5));
     let text = state_text(&m);
 
@@ -684,8 +677,7 @@ fn hardened_checkpoint_parser_reports_locations() {
     assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
 
     // EOF mid-file names the line it expected.
-    let truncated: String =
-        text.lines().take(4).map(|l| format!("{l}\n")).collect();
+    let truncated: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
     let err = Checkpoint::from_text(&truncated).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("line 5") && msg.contains("end of file"), "{msg}");

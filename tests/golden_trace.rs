@@ -61,12 +61,8 @@ fn trace_of(text: &str, variant: ChaseVariant) -> String {
     let initial = Instance::from_atoms(program.facts().iter().cloned());
     let buf = SharedBuf::new();
     let sink = JsonlSink::new(buf.clone(), &program);
-    let mut machine = ChaseMachine::new_with_trace(
-        &program,
-        ChaseConfig::of(variant),
-        initial,
-        Box::new(sink),
-    );
+    let mut machine =
+        ChaseMachine::new_with_trace(&program, ChaseConfig::of(variant), initial, Box::new(sink));
     machine.run(&Budget::applications(BUDGET_APPLICATIONS));
     buf.contents()
 }
@@ -147,8 +143,7 @@ fn update_run(variant: ChaseVariant, traced: bool) -> (String, Vec<String>, Stri
     machine.run(&budget);
     machine.apply_edits(&edits, &budget).unwrap();
     machine.flush_trace();
-    let canonical =
-        chasekit::engine::canonical_form(machine.instance(), machine.derivation());
+    let canonical = chasekit::engine::canonical_form(machine.instance(), machine.derivation());
     let stats = format!("{:?}", machine.stats());
     let dag = format!("{:?}", machine.derivation());
     (buf.contents(), canonical, stats, dag)

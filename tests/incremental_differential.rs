@@ -149,10 +149,8 @@ fn incremental_update_matches_from_scratch_chase() {
                 Instance::from_atoms(program.facts().iter().cloned()),
             );
             live.run(&budget());
-            let completion = Budget::applications(
-                live.stats().applications + BUDGET_APPLICATIONS,
-            )
-            .with_atoms(BUDGET_ATOMS);
+            let completion = Budget::applications(live.stats().applications + BUDGET_APPLICATIONS)
+                .with_atoms(BUDGET_ATOMS);
             let report = live
                 .apply_edits(&edits, &completion)
                 .unwrap_or_else(|e| panic!("{name} {variant:?}: {e}"));
@@ -172,8 +170,7 @@ fn incremental_update_matches_from_scratch_chase() {
 
             // Exact comparison only when both runs reached the fixpoint;
             // a budget stop leaves order-dependent prefixes on both sides.
-            if report.outcome != StopReason::Saturated || scratch_stop != StopReason::Saturated
-            {
+            if report.outcome != StopReason::Saturated || scratch_stop != StopReason::Saturated {
                 continue;
             }
             match variant {
@@ -231,10 +228,8 @@ fn edit_scripts_compose_edit_by_edit() {
             stepwise.run(&budget());
             let mut step_outcome = StopReason::Saturated;
             for edit in &edits {
-                let b = Budget::applications(
-                    stepwise.stats().applications + BUDGET_APPLICATIONS,
-                )
-                .with_atoms(BUDGET_ATOMS);
+                let b = Budget::applications(stepwise.stats().applications + BUDGET_APPLICATIONS)
+                    .with_atoms(BUDGET_ATOMS);
                 step_outcome =
                     stepwise.apply_edits(std::slice::from_ref(edit), &b).unwrap().outcome;
             }

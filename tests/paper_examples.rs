@@ -74,10 +74,7 @@ fn oblivious_termination_implies_semi_oblivious() {
 /// dependencies, as well as key description logics such as DL-Lite."
 #[test]
 fn inclusion_dependencies_are_simple_linear() {
-    let p = Program::parse(
-        "teaches(X, C) -> course(C). course(C) -> heldIn(C, R).",
-    )
-    .unwrap();
+    let p = Program::parse("teaches(X, C) -> course(C). course(C) -> heldIn(C, R).").unwrap();
     assert_eq!(p.class(), RuleClass::SimpleLinear);
 }
 

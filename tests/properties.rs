@@ -24,14 +24,12 @@ fn linear_program() -> impl Strategy<Value = Program> {
                 .collect();
             for ((bp, bvars), heads) in rules {
                 let mut rb = RuleBuilder::new();
-                let body_args: Vec<Term> = (0..arity(bp))
-                    .map(|k| rb.var(&format!("X{}", bvars[k] % 3)))
-                    .collect();
+                let body_args: Vec<Term> =
+                    (0..arity(bp)).map(|k| rb.var(&format!("X{}", bvars[k] % 3))).collect();
                 rb.body_atom(preds[bp], body_args);
                 for (hp, hvars) in heads {
-                    let head_args: Vec<Term> = (0..arity(hp))
-                        .map(|k| rb.var(&format!("X{}", hvars[k])))
-                        .collect();
+                    let head_args: Vec<Term> =
+                        (0..arity(hp)).map(|k| rb.var(&format!("X{}", hvars[k]))).collect();
                     rb.head_atom(preds[hp], head_args);
                 }
                 // Head vars X3, X4 never occur in bodies: existential.

@@ -13,16 +13,15 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use chasekit::engine::serve::{run_job, serve, JobPaths, JobSpec, ServeConfig, ServerHandle};
 use chasekit::engine::serve::protocol::{parse_object, Value};
+use chasekit::engine::serve::{run_job, serve, JobPaths, JobSpec, ServeConfig, ServerHandle};
 use chasekit::engine::{CancelToken, JsonlSink, StopReason, TraceSink};
 use chasekit::prelude::*;
 
 /// A scratch directory unique to this test, cleaned before use.
 fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("chasekit-serve-{}", std::process::id()))
-        .join(test);
+    let dir =
+        std::env::temp_dir().join(format!("chasekit-serve-{}", std::process::id())).join(test);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -130,10 +129,8 @@ fn submitted_job_completes_bit_identical_to_a_solo_run() {
     let handle = start(&dir.join("store"), |_| {});
     let mut c = Client::connect(handle.addr());
 
-    let resp = c.round_trip(&format!(
-        r#"{{"op":"submit","program":{},"steps":200}}"#,
-        json_str(DIVERGING)
-    ));
+    let resp = c
+        .round_trip(&format!(r#"{{"op":"submit","program":{},"steps":200}}"#, json_str(DIVERGING)));
     assert!(resp.ok(), "submit failed");
     let job = resp.str("job").expect("submit returns the job id").to_string();
     assert_eq!(resp.str("state"), Some("queued"));
@@ -146,10 +143,9 @@ fn submitted_job_completes_bit_identical_to_a_solo_run() {
 
     // The job's on-disk final checkpoint is bit-identical to a solo run
     // under the same spec.
-    let server_ckpt = std::fs::read_to_string(
-        JobPaths::new(&dir.join("store").join(&job)).final_checkpoint(),
-    )
-    .unwrap();
+    let server_ckpt =
+        std::fs::read_to_string(JobPaths::new(&dir.join("store").join(&job)).final_checkpoint())
+            .unwrap();
     let want = solo_checkpoint(&dir.join("solo"), DIVERGING, &spec_with_steps(200));
     assert_eq!(server_ckpt, want, "server job diverged from the solo run");
 
@@ -197,10 +193,9 @@ fn concurrent_clients_all_get_the_deterministic_result() {
     for (job, applications, atoms, nulls) in &results {
         assert_eq!(*applications, Some(150), "{job}");
         assert_eq!((*atoms, *nulls), (results[0].2, results[0].3), "{job}");
-        let ckpt = std::fs::read_to_string(
-            JobPaths::new(&dir.join("store").join(job)).final_checkpoint(),
-        )
-        .unwrap();
+        let ckpt =
+            std::fs::read_to_string(JobPaths::new(&dir.join("store").join(job)).final_checkpoint())
+                .unwrap();
         assert_eq!(ckpt, want, "{job} diverged under concurrency");
     }
     handle.shutdown();
@@ -362,10 +357,8 @@ fn evicted_terminal_jobs_still_answer_from_the_store() {
     });
     let mut c = Client::connect(handle.addr());
 
-    let submit = format!(
-        r#"{{"op":"submit","program":{},"steps":40,"fresh":1}}"#,
-        json_str(DIVERGING)
-    );
+    let submit =
+        format!(r#"{{"op":"submit","program":{},"steps":40,"fresh":1}}"#, json_str(DIVERGING));
     let first = c.round_trip(&submit);
     assert!(first.ok());
     let job_a = first.str("job").unwrap().to_string();
@@ -489,10 +482,8 @@ fn update_derives_a_new_job_from_a_stored_program() {
     let handle = start(&dir.join("store"), |_| {});
     let mut c = Client::connect(handle.addr());
 
-    let resp = c.round_trip(&format!(
-        r#"{{"op":"submit","program":{},"fresh":1}}"#,
-        json_str(SATURATING)
-    ));
+    let resp =
+        c.round_trip(&format!(r#"{{"op":"submit","program":{},"fresh":1}}"#, json_str(SATURATING)));
     assert!(resp.ok());
     let base = resp.str("job").unwrap().to_string();
     let done = c.round_trip(&format!(r#"{{"op":"wait","job":"{base}"}}"#));
@@ -502,10 +493,8 @@ fn update_derives_a_new_job_from_a_stored_program() {
     // Derive a new job: swap the base fact. The server re-chases the
     // edited program from scratch under a fresh id.
     let script = "retract p(a, b).\nadd p(c, d).";
-    let resp = c.round_trip(&format!(
-        r#"{{"op":"update","job":"{base}","script":{}}}"#,
-        json_str(script)
-    ));
+    let resp =
+        c.round_trip(&format!(r#"{{"op":"update","job":"{base}","script":{}}}"#, json_str(script)));
     assert!(resp.ok(), "{:?}", resp.str("detail"));
     let derived = resp.str("job").unwrap().to_string();
     assert_ne!(derived, base);
@@ -521,10 +510,7 @@ fn update_derives_a_new_job_from_a_stored_program() {
     let edited = chasekit::engine::edited_program(&program, &edits);
     let edited_text = chasekit::core::display::program_to_string(&edited);
     let want = solo_checkpoint(&dir.join("solo"), &edited_text, &JobSpec::server_default());
-    let got = std::fs::read_to_string(
-        dir.join("store").join(&derived).join("final.ckpt"),
-    )
-    .unwrap();
+    let got = std::fs::read_to_string(dir.join("store").join(&derived).join("final.ckpt")).unwrap();
     assert_eq!(got, want, "derived job diverged from the solo rebuild");
 
     // Structured failure shapes: unknown job, hostile id, bad script.
@@ -536,9 +522,8 @@ fn update_derives_a_new_job_from_a_stored_program() {
         assert!(!resp.ok(), "{id:?}");
         assert_eq!(resp.str("error"), Some("unknown-job"), "{id:?}");
     }
-    let resp = c.round_trip(&format!(
-        r#"{{"op":"update","job":"{base}","script":"frobnicate p(a, b)."}}"#
-    ));
+    let resp = c
+        .round_trip(&format!(r#"{{"op":"update","job":"{base}","script":"frobnicate p(a, b)."}}"#));
     assert!(!resp.ok());
     assert_eq!(resp.str("error"), Some("edit-script"));
     handle.shutdown();
@@ -558,10 +543,8 @@ fn recovery_still_works_after_store_compaction() {
     // older directory and persisted the sequence floor.
     let mut finished = Vec::new();
     for program in [SATURATING, "q(a). q(X) -> r(X)."] {
-        let resp = c.round_trip(&format!(
-            r#"{{"op":"submit","program":{},"fresh":1}}"#,
-            json_str(program)
-        ));
+        let resp = c
+            .round_trip(&format!(r#"{{"op":"submit","program":{},"fresh":1}}"#, json_str(program)));
         assert!(resp.ok());
         let job = resp.str("job").unwrap().to_string();
         let done = c.round_trip(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
@@ -673,8 +656,7 @@ fn streamed_trace_is_byte_identical_to_a_solo_traced_run() {
     let solo_dir = dir.join("solo");
     std::fs::create_dir_all(&solo_dir).unwrap();
     let report =
-        run_job(&program, &spec_with_steps(60), &solo_dir, CancelToken::new(), Some(sink))
-            .unwrap();
+        run_job(&program, &spec_with_steps(60), &solo_dir, CancelToken::new(), Some(sink)).unwrap();
     assert_eq!(report.outcome, StopReason::Applications);
     let want = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     let want_lines: Vec<&str> = want.lines().collect();
@@ -694,12 +676,12 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
 
     for (line, code) in [
         ("not json at all", "bad-request"),
-        (r#"{"op":"submit"}"#, "bad-request"),                    // missing program
-        (r#"{"op":"submit","program":7}"#, "bad-request"),        // mistyped field
+        (r#"{"op":"submit"}"#, "bad-request"), // missing program
+        (r#"{"op":"submit","program":7}"#, "bad-request"), // mistyped field
         (r#"{"op":"submit","program":"p(a).","x":1}"#, "bad-request"), // extra field
-        (r#"{"op":"nope"}"#, "bad-request"),                      // unknown op
-        (r#"{"op":"submit","program":{}}"#, "bad-request"),       // nested value
-        (r#"{"op":"submit","program":"p(a"}"#, "parse"),          // program won't parse
+        (r#"{"op":"nope"}"#, "bad-request"),   // unknown op
+        (r#"{"op":"submit","program":{}}"#, "bad-request"), // nested value
+        (r#"{"op":"submit","program":"p(a"}"#, "parse"), // program won't parse
         (&format!(r#"{{"op":"submit","program":"{}"}}"#, "x".repeat(600)), "oversized"),
     ] {
         let resp = c.round_trip(line);

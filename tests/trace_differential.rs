@@ -155,8 +155,7 @@ fn datagen_corpus_tracing_is_observationally_free() {
         let mut program = family.program.clone();
         let initial = seed(&mut program);
         for variant in VARIANTS {
-            let trace =
-                assert_tracing_is_free(&family.name, &program, &initial, variant, &budget);
+            let trace = assert_tracing_is_free(&family.name, &program, &initial, variant, &budget);
             let mut oracle = ChaseMachine::new(&program, ChaseConfig::of(variant), initial.clone());
             oracle.run(&budget);
             assert_trace_matches_stats(&family.name, &trace, oracle.stats());

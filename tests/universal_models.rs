@@ -26,10 +26,7 @@ fn terminating_samples() -> Vec<Program> {
 fn chase_results_are_models_containing_the_input() {
     for (i, mut p) in terminating_samples().into_iter().enumerate() {
         let db = random_database(&mut p, &DbConfig { facts: 10, constants: 4 }, i as u64);
-        for variant in [
-            ChaseVariant::SemiOblivious,
-            ChaseVariant::Restricted,
-        ] {
+        for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
             let run = chase(&p, variant, db.clone(), &Budget::default());
             assert_eq!(run.outcome, StopReason::Saturated, "sample {i} {variant}");
             assert!(is_model(&p, &run.instance), "sample {i} {variant}: not a model");
@@ -112,10 +109,8 @@ fn oblivious_result_embeds_the_semi_oblivious_result() {
     // The o-chase applies a superset of so-triggers: its result contains a
     // homomorphic image of the so-result (both universal over the same
     // theory when both terminate).
-    let p = Program::parse(
-        "emp(a). emp(X) -> dept(X, D), mgr(D, M). mgr(D, M) -> boss(M).",
-    )
-    .unwrap();
+    let p =
+        Program::parse("emp(a). emp(X) -> dept(X, D), mgr(D, M). mgr(D, M) -> boss(M).").unwrap();
     let db = Instance::from_atoms(p.facts().iter().cloned());
     let o = chase(&p, ChaseVariant::Oblivious, db.clone(), &Budget::default());
     let so = chase(&p, ChaseVariant::SemiOblivious, db, &Budget::default());
