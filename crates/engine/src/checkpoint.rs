@@ -31,7 +31,9 @@
 //! a kill just before the next publication. Because the run from any
 //! snapshot is a pure function of that snapshot, recovery is just "resume
 //! the published snapshot (or start from genesis) and run on"; the result
-//! is bit-identical to a run that was never interrupted.
+//! is bit-identical to a run that was never interrupted. The CLI's
+//! `chase --checkpoint` and the job server take the same three steps on
+//! one snapshot file: [`open_durable`], [`run_durable`], [`finish_durable`].
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -45,7 +47,7 @@ use chasekit_core::{
 
 use crate::chase::{ChaseConfig, ChaseMachine, ChaseStats, Scheduling, SkolemInfo, Trigger};
 use crate::failpoint::{self, points};
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceSink};
 use crate::variant::ChaseVariant;
 use crate::{Budget, StopReason};
 
@@ -709,6 +711,58 @@ pub fn publish_snapshot(machine: &mut ChaseMachine<'_>, path: &Path) -> Result<(
     Ok(())
 }
 
+/// The one resume step of a durable run: resumes the snapshot published at
+/// `path`, or starts from `genesis` when there is none (no `path`, or no
+/// file at it).
+///
+/// The snapshot must have been taken under `program` and under `config`'s
+/// variant: either mismatch is an error naming both sides, never a
+/// silently different chase. `sink` is installed so that its sequence
+/// numbers continue from the snapshot, and a resumed run notes
+/// [`TraceEvent::CheckpointResume`]. Returns the machine and whether it
+/// resumed.
+pub fn open_durable<'p>(
+    program: &'p Program,
+    config: ChaseConfig,
+    genesis: Instance,
+    path: Option<&Path>,
+    sink: Option<Box<dyn TraceSink>>,
+) -> Result<(ChaseMachine<'p>, bool), String> {
+    let (path, text) = match path.map(|p| (p, std::fs::read_to_string(p))) {
+        Some((path, Ok(text))) => (path, text),
+        Some((path, Err(e))) if e.kind() != io::ErrorKind::NotFound => {
+            return Err(format!("cannot read checkpoint {}: {e}", path.display()));
+        }
+        _ => {
+            let machine = match sink {
+                Some(sink) => ChaseMachine::new_with_trace(program, config, genesis, sink),
+                None => ChaseMachine::new(program, config, genesis),
+            };
+            return Ok((machine, false));
+        }
+    };
+    let snap = Checkpoint::from_text(&text)
+        .map_err(|e| format!("cannot load checkpoint {}: {e}", path.display()))?;
+    if snap.config.variant != config.variant {
+        return Err(format!(
+            "checkpoint {} was taken under the {} chase, not the requested {} chase",
+            path.display(),
+            snap.config.variant,
+            config.variant
+        ));
+    }
+    let mut machine = snap
+        .resume(program)
+        .map_err(|e| format!("cannot resume checkpoint {}: {e}", path.display()))?;
+    if let Some(sink) = sink {
+        machine.set_trace_sink(sink);
+        let (applications, atoms, pending) =
+            (snap.stats.applications, snap.atoms(), snap.pending());
+        machine.trace_note(TraceEvent::CheckpointResume { applications, atoms, pending });
+    }
+    Ok((machine, true))
+}
+
 /// The durable leg loop the CLI `chase` command and the job server share.
 ///
 /// Runs `machine` under `budget` in legs of `every` applications and, after
@@ -748,6 +802,23 @@ pub fn run_durable(
             (stop, _) => return (stop, None),
         }
     }
+}
+
+/// The last step of a durable run that stopped with `outcome`: publishes
+/// the final state at `path` ([`publish_snapshot`]) and returns whether it
+/// did. After a failed publication ([`StopReason::Io`]) it publishes
+/// nothing: the snapshot published before the failure stays the resumable
+/// state.
+pub fn finish_durable(
+    machine: &mut ChaseMachine<'_>,
+    outcome: StopReason,
+    path: &Path,
+) -> Result<bool, String> {
+    if outcome == StopReason::Io {
+        return Ok(false);
+    }
+    publish_snapshot(machine, path)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -987,6 +1058,31 @@ mod tests {
         assert!(!path.exists() && !tmp_path(&path).exists());
         // Nothing left: not an error, and reports that no snapshot existed.
         assert!(!remove_snapshot(&path).unwrap());
+    }
+
+    #[test]
+    fn open_durable_starts_resumes_and_refuses_another_variant() {
+        let path = scratch("open.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let p = example1();
+        let so = ChaseConfig::of(ChaseVariant::SemiOblivious);
+        let (mut m, resumed) = open_durable(&p, so, facts(&p), Some(&path), None).unwrap();
+        assert!(!resumed, "no file: the run starts from genesis");
+        m.run(&Budget::applications(5));
+        assert!(finish_durable(&mut m, StopReason::Applications, &path).unwrap());
+
+        let (again, resumed) = open_durable(&p, so, facts(&p), Some(&path), None).unwrap();
+        assert!(resumed);
+        assert_eq!(again.snapshot().to_text(), m.snapshot().to_text());
+        let restricted = ChaseConfig::of(ChaseVariant::Restricted);
+        let err = open_durable(&p, restricted, facts(&p), Some(&path), None).err().unwrap();
+        assert!(err.contains("semi-oblivious") && err.contains("restricted"), "{err}");
+
+        // After a failed publication the earlier snapshot stays in place.
+        m.run(&Budget::applications(9));
+        assert!(!finish_durable(&mut m, StopReason::Io, &path).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), again.snapshot().to_text().unwrap());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

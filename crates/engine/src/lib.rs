@@ -39,8 +39,8 @@ pub use chase::{
     ChaseResult, ChaseStats, RoundStats, Scheduling, StepEvent,
 };
 pub use checkpoint::{
-    crc32, publish_snapshot, remove_snapshot, run_durable, write_snapshot_atomic, Checkpoint,
-    CheckpointError,
+    crc32, finish_durable, open_durable, publish_snapshot, remove_snapshot, run_durable,
+    write_snapshot_atomic, Checkpoint, CheckpointError,
 };
 pub use derivation::{Application, DerivationDag};
 pub use dot::derivation_to_dot;

@@ -8,8 +8,8 @@
 //!
 //! * [`protocol`] — the newline-delimited flat-JSON wire format and the
 //!   hardened line reader at the trust boundary;
-//! * [`runner`] — [`runner::run_job`], the one durable execution loop
-//!   both fresh submissions and restart recovery go through;
+//! * [`runner`] — [`runner::run_job`], the CLI's durable run on a job's
+//!   snapshot file, which fresh submissions and restart recovery share;
 //! * [`store`] — the on-disk job store whose `meta`/`result` markers
 //!   carry the crash-consistency protocol;
 //! * [`server`] — admission control, the worker pool, connection
@@ -19,9 +19,9 @@
 //! by the kill-at-every-failpoint suite: **bit-identical or cleanly
 //! truncated, never fabricated**. A server SIGKILL'd at any point —
 //! mid-leg, mid-snapshot, in the admit window, between a job's final
-//! checkpoint and its result marker — recovers on restart to a state from
-//! which every admitted job completes with a final checkpoint
-//! byte-identical to a run that never crashed.
+//! snapshot and its result marker — recovers on restart to a state from
+//! which every admitted job completes with a final snapshot byte-identical
+//! to a run that never crashed.
 
 pub mod protocol;
 pub mod runner;

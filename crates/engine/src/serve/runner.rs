@@ -4,28 +4,23 @@
 //! both fresh submissions and jobs found half-done by the restart scan —
 //! the two cases are deliberately the same code path, so the recovery
 //! differential ("a killed job, resumed, is bit-identical to one that
-//! never crashed") is a property of the only loop there is. That loop is
-//! [`run_durable`], the same one the CLI's `chase --checkpoint
-//! --checkpoint-every` drives: legs of `checkpoint_every` applications,
-//! each followed by an atomically published snapshot, under one overall
-//! wall-clock deadline.
+//! never crashed") is a property of the only loop there is. A job is the
+//! CLI's `chase --checkpoint` durable run (`crate::checkpoint`: open,
+//! legs, finish) on the job's one snapshot file, `state.ckpt`.
 //!
-//! A job directory owns three well-known files (see [`JobPaths`]): the
-//! working snapshot the durable loop republishes, the final checkpoint
-//! published when the chase stops, and the result marker the *server*
-//! writes last — its presence is what the restart scan treats as
-//! "complete", so a kill anywhere before it simply resumes the working
-//! snapshot (or genesis) and re-runs the deterministic tail.
+//! The result marker the *server* writes last (see [`JobPaths`]) is what
+//! the restart scan treats as "complete": a kill anywhere before it
+//! resumes `state.ckpt` (or genesis) and re-runs the deterministic tail,
+//! which is empty once the final state is published — that job stops at
+//! once with the same outcome.
 
 use std::path::{Path, PathBuf};
 
 use chasekit_core::Program;
 
-use crate::checkpoint::{run_durable, write_snapshot_atomic, Checkpoint};
+use crate::checkpoint::{finish_durable, open_durable, run_durable};
 use crate::trace::TraceSink;
-use crate::{
-    initial_instance, Budget, CancelToken, ChaseConfig, ChaseMachine, ChaseVariant, StopReason,
-};
+use crate::{initial_instance, Budget, CancelToken, ChaseConfig, ChaseVariant, StopReason};
 
 /// The per-job budget and durability cadence, persisted in the job's
 /// `meta` file so a restarted server re-runs the job under identical
@@ -44,7 +39,7 @@ pub struct JobSpec {
     pub max_atoms: Option<usize>,
     /// Approximate memory ceiling in bytes, if any.
     pub max_memory: Option<usize>,
-    /// Snapshot cadence in applications (0 = only the final checkpoint,
+    /// Snapshot cadence in applications (0 = only the final snapshot,
     /// no periodic durability).
     pub checkpoint_every: u64,
 }
@@ -62,6 +57,23 @@ impl JobSpec {
             max_memory: None,
             checkpoint_every: 256,
         }
+    }
+
+    /// The run's budget: `steps` applications under whichever wall-clock,
+    /// atom and memory ceilings are set. Its wall-clock limit is one
+    /// deadline over all legs ([`run_durable`]).
+    pub fn budget(&self) -> Budget {
+        let mut budget = Budget::applications(self.steps);
+        if let Some(ms) = self.timeout_ms {
+            budget = budget.with_timeout_ms(ms);
+        }
+        if let Some(atoms) = self.max_atoms {
+            budget = budget.with_atoms(atoms);
+        }
+        if let Some(bytes) = self.max_memory {
+            budget = budget.with_memory(bytes);
+        }
+        budget
     }
 }
 
@@ -88,14 +100,10 @@ impl JobPaths {
         self.dir.join("meta")
     }
 
-    /// The working snapshot the durable loop re-publishes every leg.
-    fn state_checkpoint(&self) -> PathBuf {
+    /// The job's one snapshot file: republished after every leg, and
+    /// holding the final state once the chase stopped.
+    pub fn state_checkpoint(&self) -> PathBuf {
         self.dir.join("state.ckpt")
-    }
-
-    /// The final checkpoint, published when the chase stops.
-    pub fn final_checkpoint(&self) -> PathBuf {
-        self.dir.join("final.ckpt")
     }
 
     /// The result marker the server writes last; its presence means done.
@@ -115,26 +123,24 @@ pub struct JobReport {
     pub atoms: usize,
     /// Labelled nulls minted.
     pub nulls: usize,
-    /// Whether the job resumed from a working snapshot (restart recovery).
+    /// Whether the job resumed from its snapshot (restart recovery).
     pub recovered: bool,
-    /// The final checkpoint text (also on disk at
-    /// [`JobPaths::final_checkpoint`]) — the byte-identity witness the
-    /// differential suite compares.
-    pub checkpoint_text: String,
     /// The failed publication's error when `outcome` is [`StopReason::Io`].
     pub io_error: Option<String>,
 }
 
 /// Runs one job to a terminal state inside `dir`, fresh or recovered.
 ///
-/// If the directory holds a working `state.ckpt` (the server was killed
-/// mid-job), the machine resumes it and runs on; otherwise the chase
-/// starts from the program's facts (or its critical instance when it has
-/// none), exactly like the CLI. Any other file a killed run left behind —
-/// a torn `state.ckpt.tmp`, a `state.journal` from an older server — is
-/// ignored. Returns an error string for structural failures (unreadable or
-/// mismatched state, unwritable final checkpoint); budget and I/O stops
-/// are *successful* reports with the corresponding [`StopReason`].
+/// The job is one durable run on `state.ckpt` (see
+/// [`crate::checkpoint::open_durable`]): it resumes the snapshot a killed
+/// run published there, or starts from the program's facts (or its
+/// critical instance when it has none), exactly like the CLI, and
+/// publishes its final state there when it stops. Any other file a killed
+/// run left behind — a torn `state.ckpt.tmp`, a `state.journal` or
+/// `final.ckpt` from an older server — is ignored. Returns an error string
+/// for structural failures (unreadable state, state of another program or
+/// variant, unwritable final state); budget and I/O stops are *successful*
+/// reports with the corresponding [`StopReason`].
 pub fn run_job(
     program: &Program,
     spec: &JobSpec,
@@ -142,62 +148,20 @@ pub fn run_job(
     cancel: CancelToken,
     sink: Option<Box<dyn TraceSink>>,
 ) -> Result<JobReport, String> {
-    let paths = JobPaths::new(dir);
+    let state = JobPaths::new(dir).state_checkpoint();
     let mut program = program.clone();
-    let config = ChaseConfig::of(spec.variant);
-
-    let snapshot_text = match std::fs::read_to_string(paths.state_checkpoint()) {
-        Ok(t) => Some(t),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("cannot read {}: {e}", paths.state_checkpoint().display())),
-    };
-
     let genesis = initial_instance(&mut program);
-
-    let recovered = snapshot_text.is_some();
-    let mut machine = match &snapshot_text {
-        Some(text) => {
-            let mut m = Checkpoint::from_text(text)
-                .and_then(|c| c.resume(&program))
-                .map_err(|e| format!("cannot resume job state: {e}"))?;
-            if let Some(sink) = sink {
-                // Sequence numbers continue from the resumed stats; the
-                // stream is a suffix of an uncrashed run's stream.
-                m.set_trace_sink(sink);
-            }
-            m
-        }
-        None => match sink {
-            Some(sink) => ChaseMachine::new_with_trace(&program, config, genesis, sink),
-            None => ChaseMachine::new(&program, config, genesis),
-        },
-    };
+    let config = ChaseConfig::of(spec.variant);
+    let (mut machine, recovered) = open_durable(&program, config, genesis, Some(&state), sink)?;
     machine.set_cancel_token(cancel);
 
-    let mut budget = Budget::applications(spec.steps);
-    if let Some(ms) = spec.timeout_ms {
-        budget = budget.with_timeout_ms(ms);
-    }
-    if let Some(atoms) = spec.max_atoms {
-        budget = budget.with_atoms(atoms);
-    }
-    if let Some(bytes) = spec.max_memory {
-        budget = budget.with_memory(bytes);
-    }
     // A publish failure (ENOSPC, EACCES, injected fault) is a durability
     // stop, not a server error: the job ends with StopReason::Io and the
     // named error text.
     let (outcome, io_error) =
-        run_durable(&mut machine, &budget, spec.checkpoint_every, Some(&paths.state_checkpoint()));
+        run_durable(&mut machine, &spec.budget(), spec.checkpoint_every, Some(&state));
+    finish_durable(&mut machine, outcome, &state)?;
     machine.flush_trace();
-
-    let checkpoint_text = machine
-        .snapshot()
-        .to_text()
-        .map_err(|e| format!("cannot serialize final checkpoint: {e}"))?;
-    write_snapshot_atomic(&paths.final_checkpoint(), &checkpoint_text).map_err(|e| {
-        format!("cannot write final checkpoint {}: {e}", paths.final_checkpoint().display())
-    })?;
 
     Ok(JobReport {
         outcome,
@@ -205,7 +169,37 @@ pub fn run_job(
         atoms: machine.instance().len(),
         nulls: machine.stats().nulls_minted as usize,
         recovered,
-        checkpoint_text,
         io_error,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A finished job rerun (a kill between its final publication and its
+    /// result marker) resumes the final state and stops at once with the
+    /// same outcome; a `final.ckpt` an older server left beside the
+    /// snapshot is never read.
+    #[test]
+    fn a_finished_job_reruns_to_the_same_state_past_a_stale_final_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("chasekit-runner-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let program =
+            Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
+        let spec = JobSpec { steps: 30, checkpoint_every: 10, ..JobSpec::server_default() };
+        let first = run_job(&program, &spec, &dir, CancelToken::new(), None).unwrap();
+        assert!(!first.recovered);
+        let state = JobPaths::new(&dir).state_checkpoint();
+        let published = std::fs::read_to_string(&state).unwrap();
+        std::fs::write(dir.join("final.ckpt"), "stale").unwrap();
+
+        let rerun = run_job(&program, &spec, &dir, CancelToken::new(), None).unwrap();
+        assert!(rerun.recovered);
+        assert_eq!((rerun.outcome, rerun.applications), (first.outcome, first.applications));
+        assert_eq!(std::fs::read_to_string(&state).unwrap(), published);
+        assert_eq!(std::fs::read_to_string(dir.join("final.ckpt")).unwrap(), "stale");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

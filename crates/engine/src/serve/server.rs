@@ -73,8 +73,6 @@ pub struct ServeConfig {
     /// its on-disk `result` marker, so eviction is invisible for anything
     /// the store remembers.
     pub terminal_retention: usize,
-    /// Result-cache capacity (entries; oldest evicted first).
-    pub cache_capacity: usize,
     /// On-disk retention of completed job directories: after each job
     /// completes (and once at startup), the oldest completed directories
     /// beyond this count are deleted. The sequence floor file keeps job
@@ -97,7 +95,6 @@ impl ServeConfig {
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
             max_connections: 64,
             terminal_retention: 1024,
-            cache_capacity: 1024,
             keep_completed: None,
         }
     }
@@ -138,22 +135,20 @@ struct Counters {
     cache_hits: AtomicU64,
 }
 
-/// The saturated-result cache, bounded: once `capacity` entries are held,
-/// each insert evicts the oldest. Insertion order is good enough here —
-/// the cache is a bandwidth saver, not a correctness layer, and every
-/// evicted result is still on disk for the next restart scan to re-prime.
-#[derive(Debug)]
+/// Entries the result cache holds before each insert evicts the oldest.
+const CACHE_CAPACITY: usize = 1024;
+
+/// The saturated-result cache, bounded by [`CACHE_CAPACITY`]. Insertion
+/// order is good enough here — the cache is a bandwidth saver, not a
+/// correctness layer, and every evicted result is still on disk for the
+/// next restart scan to re-prime.
+#[derive(Debug, Default)]
 struct ResultCache {
-    capacity: usize,
     map: HashMap<(u64, String), JobResult>,
     order: VecDeque<(u64, String)>,
 }
 
 impl ResultCache {
-    fn new(capacity: usize) -> ResultCache {
-        ResultCache { capacity, map: HashMap::new(), order: VecDeque::new() }
-    }
-
     fn get(&self, key: &(u64, String)) -> Option<&JobResult> {
         self.map.get(key)
     }
@@ -162,7 +157,7 @@ impl ResultCache {
         if self.map.insert(key.clone(), result).is_none() {
             self.order.push_back(key);
         }
-        while self.map.len() > self.capacity {
+        while self.map.len() > CACHE_CAPACITY {
             let Some(old) = self.order.pop_front() else { break };
             self.map.remove(&old);
         }
@@ -288,7 +283,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         std::io::Error::other(format!("cannot scan job store {}: {e}", config.store.display()))
     })?;
 
-    let mut cache = ResultCache::new(config.cache_capacity);
+    let mut cache = ResultCache::default();
     for (_, result) in &scan.completed {
         if result.outcome == StopReason::Saturated.keyword() {
             cache.insert((result.fingerprint, result.variant.clone()), result.clone());
@@ -403,13 +398,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .0;
             }
         };
-        let (cancel, stream, user_cancel_at_start) = {
+        let (cancel, stream) = {
             let mut jobs = lock(&shared.jobs);
             let Some(entry) = jobs.get_mut(&id) else { continue };
             entry.phase = Phase::Running;
-            (entry.cancel.clone(), entry.stream.take(), entry.user_cancelled)
+            (entry.cancel.clone(), entry.stream.take())
         };
-        let _ = user_cancel_at_start; // a pre-cancelled token stops the job immediately
 
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, &id, cancel, stream)));
@@ -488,7 +482,7 @@ fn execute_job(
         return Ok(None);
     }
 
-    // The crash window between the final checkpoint and the result marker.
+    // The crash window between the final snapshot and the result marker.
     if let Err(e) = failpoint::trip_io(points::SERVE_RESULT) {
         return Err(format!("cannot publish result for {id}: {e}"));
     }

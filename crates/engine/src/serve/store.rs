@@ -9,10 +9,13 @@
 //!   job-0/
 //!     program.rules    submitted program text, verbatim
 //!     meta             the JobSpec, written last + atomically at admission
-//!     state.ckpt       working snapshot, republished after every leg
-//!     final.ckpt       final checkpoint, once the chase stopped
+//!     state.ckpt       snapshot: republished after every leg, final state last
 //!     result           terminal outcome marker, written last by the server
 //! ```
+//!
+//! `state.ckpt` is the job's one snapshot file, driven by the durable run
+//! of `crate::checkpoint` (see `crate::serve::runner`). Files an older
+//! server left beside it (`final.ckpt`, `state.journal`) are never read.
 //!
 //! The two markers carry the crash-consistency protocol: a directory
 //! without a complete `meta` was never admitted (the submit response is
@@ -422,6 +425,34 @@ mod tests {
         assert_eq!(scan.completed, vec![("job-2".to_string(), result)]);
         assert_eq!(scan.discarded, vec!["job-5".to_string()]);
         assert_eq!(scan.next_seq, 6);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Directories written when a job also kept a `final.ckpt` scan and
+    /// compact like any other.
+    #[test]
+    fn directories_holding_a_final_checkpoint_still_scan_and_compact() {
+        let root = scratch("final-ckpt");
+        let store = JobStore::open(&root).unwrap();
+        for id in ["job-0", "job-1"] {
+            store.create_job(id, "p(a). p(X) -> q(X).", &spec()).unwrap();
+            std::fs::write(store.job_dir(id).join("final.ckpt"), "older layout").unwrap();
+        }
+        let result = JobResult {
+            outcome: "saturated".into(),
+            applications: 1,
+            atoms: 2,
+            nulls: 0,
+            fingerprint: 1,
+            variant: "oblivious".into(),
+        };
+        store.write_result("job-0", &result).unwrap();
+        let scan = store.scan().unwrap();
+        assert_eq!(scan.completed, vec![("job-0".to_string(), result)]);
+        assert_eq!(scan.in_flight.len(), 1);
+        assert_eq!(scan.in_flight[0].id, "job-1");
+        assert_eq!(store.compact(0, scan.next_seq).unwrap(), vec!["job-0"]);
+        assert!(!store.job_dir("job-0").exists() && store.job_dir("job-1").exists());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

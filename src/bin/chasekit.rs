@@ -48,9 +48,10 @@
 use std::process::ExitCode;
 
 use chasekit::core::display::{instance_to_string, rule_to_string};
+use chasekit::engine::serve::JobSpec;
 use chasekit::engine::{
-    failpoint, initial_instance, publish_snapshot, remove_snapshot, run_durable, Checkpoint,
-    JsonlSink, MetricsRegistry, MetricsSink, MultiSink, StopReason, TraceEvent, TraceSink,
+    failpoint, finish_durable, initial_instance, open_durable, remove_snapshot, run_durable,
+    JsonlSink, MetricsRegistry, MetricsSink, MultiSink, StopReason, TraceSink,
 };
 use chasekit::prelude::*;
 
@@ -389,6 +390,19 @@ fn write_outputs(
     Ok(())
 }
 
+/// The budget and snapshot cadence the flags ask for, as a server job's
+/// spec; `every` stands in for an absent `--checkpoint-every`.
+fn job_spec(args: &Args, every: u64) -> JobSpec {
+    JobSpec {
+        variant: args.variant,
+        steps: args.steps,
+        timeout_ms: args.timeout_ms,
+        max_atoms: None,
+        max_memory: args.max_mem,
+        checkpoint_every: args.checkpoint_every.unwrap_or(every),
+    }
+}
+
 /// `chasekit serve`: run the multi-tenant chase service until shutdown.
 ///
 /// Startup prints `listening on ADDR` (with an explicit flush, so tests
@@ -396,7 +410,7 @@ fn write_outputs(
 /// `recovered job-N` line per in-flight job the restart scan found; those
 /// jobs are already re-queued and will complete without client action.
 fn run_serve(args: &Args) -> ExitCode {
-    use chasekit::engine::serve::{JobSpec, ServeConfig};
+    use chasekit::engine::serve::ServeConfig;
     use std::io::Write as _;
 
     let store = args.store.as_deref().expect("validated by parse_args");
@@ -405,14 +419,7 @@ fn run_serve(args: &Args) -> ExitCode {
     config.workers = args.workers;
     config.queue_capacity = args.queue;
     config.keep_completed = args.keep_completed;
-    config.defaults = JobSpec {
-        variant: args.variant,
-        steps: args.steps,
-        timeout_ms: args.timeout_ms,
-        max_atoms: None,
-        max_memory: args.max_mem,
-        checkpoint_every: args.checkpoint_every.unwrap_or(256),
-    };
+    config.defaults = job_spec(args, JobSpec::server_default().checkpoint_every);
 
     let handle = match chasekit::engine::serve::serve(config) {
         Ok(h) => h,
@@ -539,8 +546,8 @@ fn main() -> ExitCode {
         }
         "chase" => {
             let mut program = program.clone();
-            use chasekit::engine::{ChaseConfig, ChaseMachine};
-            let mut cfg = ChaseConfig::of(args.variant);
+            let spec = job_spec(&args, 0);
+            let mut cfg = chasekit::engine::ChaseConfig::of(spec.variant);
             if args.dot.is_some() {
                 cfg = cfg.with_derivation();
             }
@@ -553,62 +560,29 @@ fn main() -> ExitCode {
                 }
             };
 
-            // Resume from a checkpoint file when one exists; otherwise start
-            // fresh (from the file's facts or the critical instance).
-            let resumed = match &args.checkpoint {
-                Some(path) if std::path::Path::new(path).exists() => {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("cannot read checkpoint {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    match Checkpoint::from_text(&text) {
-                        Ok(snap) => Some(snap),
-                        Err(e) => {
-                            eprintln!("cannot load checkpoint {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                _ => None,
-            };
-
-            let mut machine = match &resumed {
-                Some(snap) => match snap.resume(&program) {
-                    Ok(mut m) => {
-                        println!(
-                            "(resuming from checkpoint: {} applications, {} atoms, {} pending)",
-                            snap.stats().applications,
-                            snap.atoms(),
-                            snap.pending()
-                        );
-                        if let Some(sink) = sink {
-                            // Sequence numbers continue from the restored
-                            // stats (see `engine::trace::core_seq`).
-                            m.set_trace_sink(sink);
-                            m.trace_note(TraceEvent::CheckpointResume {
-                                applications: snap.stats().applications,
-                                atoms: snap.atoms(),
-                                pending: snap.pending(),
-                            });
-                        }
-                        m
-                    }
-                    Err(e) => {
-                        eprintln!("cannot resume checkpoint: {e}");
+            // Resume the checkpoint file when one exists; otherwise start
+            // from the file's facts or the critical instance, whose
+            // constants a resumed run needs interned too.
+            let genesis = initial_instance(&mut program);
+            let checkpoint = args.checkpoint.as_deref().map(std::path::Path::new);
+            let (mut machine, resumed) =
+                match open_durable(&program, cfg, genesis, checkpoint, sink) {
+                    Ok(opened) => opened,
+                    Err(msg) => {
+                        eprintln!("{msg}");
                         return ExitCode::FAILURE;
                     }
-                },
-                None => {
-                    let initial = start_instance(&mut program);
-                    match sink {
-                        Some(sink) => ChaseMachine::new_with_trace(&program, cfg, initial, sink),
-                        None => ChaseMachine::new(&program, cfg, initial),
-                    }
-                }
-            };
+                };
+            if resumed {
+                println!(
+                    "(resuming from checkpoint: {} applications, {} atoms, {} pending)",
+                    machine.stats().applications,
+                    machine.instance().len(),
+                    machine.pending()
+                );
+            } else if program.facts().is_empty() {
+                println!("(no facts in file: chasing the critical instance)");
+            }
             if let Some(secs) = args.progress {
                 machine.set_progress(
                     std::time::Duration::from_secs(secs),
@@ -627,18 +601,8 @@ fn main() -> ExitCode {
                 );
             }
 
-            // One overall wall-clock deadline, even when `--checkpoint-every`
-            // splits the run into snapshot legs.
-            let mut budget = Budget::applications(args.steps);
-            if let Some(ms) = args.timeout_ms {
-                budget = budget.with_timeout_ms(ms);
-            }
-            if let Some(bytes) = args.max_mem {
-                budget = budget.with_memory(bytes);
-            }
-            let checkpoint = args.checkpoint.as_deref().map(std::path::Path::new);
             let (outcome, io_error) =
-                run_durable(&mut machine, &budget, args.checkpoint_every.unwrap_or(0), checkpoint);
+                run_durable(&mut machine, &spec.budget(), spec.checkpoint_every, checkpoint);
             if let Some(msg) = &io_error {
                 eprintln!("{msg}");
             }
@@ -652,9 +616,7 @@ fn main() -> ExitCode {
             );
 
             match (checkpoint, outcome) {
-                // A publication already failed: the last published snapshot
-                // stays as the resumable state.
-                (_, StopReason::Io) | (None, _) => {}
+                (None, _) => {}
                 (Some(path), StopReason::Saturated) => {
                     // The run finished: a stale checkpoint would silently
                     // replay the old state on the next invocation, so a
@@ -670,13 +632,16 @@ fn main() -> ExitCode {
                         }
                     }
                 }
-                (Some(path), _) => {
-                    if let Err(msg) = publish_snapshot(&mut machine, path) {
+                (Some(path), _) => match finish_durable(&mut machine, outcome, path) {
+                    Ok(true) => {
+                        println!("checkpoint written to {} (rerun to continue)", path.display())
+                    }
+                    Ok(false) => {}
+                    Err(msg) => {
                         eprintln!("{msg}");
                         return ExitCode::from(DURABILITY_FAILURE);
                     }
-                    println!("checkpoint written to {} (rerun to continue)", path.display());
-                }
+                },
             }
 
             if let Err(msg) = write_outputs(&args, &mut machine, &program, metrics) {

@@ -409,6 +409,66 @@ fn checkpointed_run_resumes_and_matches_a_straight_run() {
 }
 
 #[test]
+fn checkpoint_resumed_under_another_variant_is_refused() {
+    let path = write_rules("ckpt-variant.rules", "p(a, b). p(X, Y) -> p(Y, Z).");
+    let rules = path.to_str().unwrap();
+    let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("variant.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let (_, _, code) = run(&["chase", rules, "--steps", "5", "--checkpoint", ckpt_arg]);
+    assert_eq!(code, Some(10));
+    let parked = std::fs::read_to_string(&ckpt).unwrap();
+
+    // A semi-oblivious checkpoint never continues as a restricted chase.
+    let (stdout, stderr, code) = run(&[
+        "chase",
+        rules,
+        "--variant",
+        "restricted",
+        "--steps",
+        "10",
+        "--checkpoint",
+        ckpt_arg,
+    ]);
+    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("semi-oblivious") && stderr.contains("restricted"), "{stderr}");
+    assert!(!stdout.contains("resuming from checkpoint"), "{stdout}");
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), parked, "a refused run writes nothing");
+
+    // Under its own variant the same checkpoint still resumes.
+    let (stdout, _, code) =
+        run(&["chase", rules, "--variant", "so", "--steps", "10", "--checkpoint", ckpt_arg]);
+    assert_eq!(code, Some(10), "{stdout}");
+    assert!(stdout.contains("(resuming from checkpoint: 5 applications"), "{stdout}");
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn checkpoint_of_a_program_without_facts_resumes_over_the_critical_instance() {
+    let path = write_rules("ckpt-nofacts.rules", "p(X, Y) -> p(Y, Z).");
+    let rules = path.to_str().unwrap();
+    let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("nofacts.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let (stdout, _, code) = run(&["chase", rules, "--steps", "5", "--checkpoint", ckpt_arg]);
+    assert_eq!(code, Some(10), "{stdout}");
+    assert!(stdout.contains("critical instance"), "{stdout}");
+
+    // The resumed leg prints the critical constant it was chased from.
+    let (resumed, stderr, code) = run(&["chase", rules, "--steps", "10", "--checkpoint", ckpt_arg]);
+    assert_eq!(code, Some(10), "stdout: {resumed}\nstderr: {stderr}");
+    assert!(resumed.contains("resuming from checkpoint"), "{resumed}");
+    assert!(!resumed.contains("critical instance"), "{resumed}");
+    let (straight, _, _) = run(&["chase", rules, "--steps", "10"]);
+    let atoms = |s: &str| -> Vec<String> {
+        s.lines().filter(|l| l.starts_with("p(")).map(|l| l.to_string()).collect()
+    };
+    assert!(atoms(&straight).contains(&"p(\u{22c6}critical, \u{22c6}critical)".to_string()));
+    assert_eq!(atoms(&resumed), atoms(&straight));
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn saturating_run_removes_its_checkpoint() {
     let path = write_rules("ckpt-sat.rules", "e(a, b). e(X, Y) -> t(Y, X).");
     let ckpt = std::env::temp_dir().join("chasekit-cli-tests").join("sat.ckpt");

@@ -352,6 +352,12 @@ fn journal_failure_stops_with_io_at_a_boundary() {
     assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), state_text(&leg1));
 }
 
+/// A job directory's snapshot file, which holds the final state once
+/// [`run_job`] returns.
+fn job_state(dir: &Path) -> String {
+    std::fs::read_to_string(dir.join("state.ckpt")).unwrap()
+}
+
 /// The job spec the corruption and torn-tmp tests resume through: the
 /// server's runner over Example 1, oblivious, 30 applications.
 fn example1_job(every: u64) -> JobSpec {
@@ -372,10 +378,9 @@ fn needs_recovery_spots_unreplayed_tails() {
     let _g = failpoint_guard();
     failpoint::clear();
     let program = Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
-    let want =
-        run_job(&program, &example1_job(0), &scratch("tmp-reference"), CancelToken::new(), None)
-            .unwrap()
-            .checkpoint_text;
+    let reference = scratch("tmp-reference");
+    run_job(&program, &example1_job(0), &reference, CancelToken::new(), None).unwrap();
+    let want = job_state(&reference);
 
     // A torn second publication: state.ckpt holds leg 1, state.ckpt.tmp
     // the first 40 bytes of leg 2.
@@ -390,14 +395,14 @@ fn needs_recovery_spots_unreplayed_tails() {
     let resumed = run_job(&program, &example1_job(10), &dir, CancelToken::new(), None).unwrap();
     assert!(resumed.recovered, "the published snapshot is resumed");
     assert_eq!(resumed.outcome, StopReason::Applications);
-    assert_eq!(resumed.checkpoint_text, want);
+    assert_eq!(job_state(&dir), want);
 
     // Only a torn temporary file, no snapshot: start from genesis.
     let dir = scratch("tmp-only");
     std::fs::write(dir.join("state.ckpt.tmp"), "chasekit-checkpoint v1\ntorn").unwrap();
     let fresh = run_job(&program, &example1_job(10), &dir, CancelToken::new(), None).unwrap();
     assert!(!fresh.recovered, "a temporary file is never resumed");
-    assert_eq!(fresh.checkpoint_text, want);
+    assert_eq!(job_state(&dir), want);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,7 +483,7 @@ proptest! {
         let report = run_job(&program, &example1_job(0), &dir, CancelToken::new(), None).unwrap();
         prop_assert!(report.recovered);
         prop_assert_eq!(report.applications, 30);
-        prop_assert_eq!(&report.checkpoint_text, &state_by_apps[30]);
+        prop_assert_eq!(&job_state(&dir), &state_by_apps[30]);
     }
 
     /// Flip and truncate arbitrary bytes of the snapshot: `from_text` (and

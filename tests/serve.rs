@@ -14,7 +14,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use chasekit::engine::serve::protocol::{parse_object, Value};
-use chasekit::engine::serve::{run_job, serve, JobPaths, JobSpec, ServeConfig, ServerHandle};
+use chasekit::engine::serve::{
+    run_job, serve, JobPaths, JobSpec, JobStore, ServeConfig, ServerHandle,
+};
 use chasekit::engine::{CancelToken, JsonlSink, StopReason, TraceSink};
 use chasekit::prelude::*;
 
@@ -111,12 +113,18 @@ fn spec_with_steps(steps: u64) -> JobSpec {
     JobSpec { steps, ..JobSpec::server_default() }
 }
 
-/// Runs the same job solo (no server) and returns its final checkpoint
-/// text — the byte-identity witness.
+/// A job directory's snapshot file: the final state once the job is done.
+fn job_state(dir: &std::path::Path) -> String {
+    std::fs::read_to_string(JobPaths::new(dir).state_checkpoint()).unwrap()
+}
+
+/// Runs the same job solo (no server) and returns its final snapshot text
+/// — the byte-identity witness.
 fn solo_checkpoint(dir: &std::path::Path, program: &str, spec: &JobSpec) -> String {
     let program = Program::parse(program).unwrap();
     std::fs::create_dir_all(dir).unwrap();
-    run_job(&program, spec, dir, CancelToken::new(), None).unwrap().checkpoint_text
+    run_job(&program, spec, dir, CancelToken::new(), None).unwrap();
+    job_state(dir)
 }
 
 // ---------------------------------------------------------------------------
@@ -141,11 +149,9 @@ fn submitted_job_completes_bit_identical_to_a_solo_run() {
     assert_eq!(done.str("outcome"), Some("applications"));
     assert_eq!(done.num("applications"), Some(200));
 
-    // The job's on-disk final checkpoint is bit-identical to a solo run
+    // The job's on-disk final snapshot is bit-identical to a solo run
     // under the same spec.
-    let server_ckpt =
-        std::fs::read_to_string(JobPaths::new(&dir.join("store").join(&job)).final_checkpoint())
-            .unwrap();
+    let server_ckpt = job_state(&dir.join("store").join(&job));
     let want = solo_checkpoint(&dir.join("solo"), DIVERGING, &spec_with_steps(200));
     assert_eq!(server_ckpt, want, "server job diverged from the solo run");
 
@@ -193,11 +199,77 @@ fn concurrent_clients_all_get_the_deterministic_result() {
     for (job, applications, atoms, nulls) in &results {
         assert_eq!(*applications, Some(150), "{job}");
         assert_eq!((*atoms, *nulls), (results[0].2, results[0].3), "{job}");
-        let ckpt =
-            std::fs::read_to_string(JobPaths::new(&dir.join("store").join(job)).final_checkpoint())
-                .unwrap();
+        let ckpt = job_state(&dir.join("store").join(job));
         assert_eq!(ckpt, want, "{job} diverged under concurrency");
     }
+    handle.shutdown();
+}
+
+/// The job-directory contract: a completed job, whether its budget stopped
+/// it or it saturated, holds exactly its program, `meta`, its one snapshot
+/// file and `result` — and a budget-stopped job's snapshot is the bytes
+/// `chasekit chase --checkpoint` writes under the same steps and cadence.
+#[test]
+fn job_directories_hold_exactly_the_contract_files() {
+    let dir = scratch("job-layout");
+    let store = dir.join("store");
+    let handle = start(&store, |c| c.defaults.checkpoint_every = 25);
+    let mut c = Client::connect(handle.addr());
+    let mut jobs = Vec::new();
+    for (program, outcome) in [(DIVERGING, "applications"), (SATURATING, "saturated")] {
+        let resp = c.round_trip(&format!(
+            r#"{{"op":"submit","program":{},"steps":60,"fresh":1}}"#,
+            json_str(program)
+        ));
+        let job = resp.str("job").expect("submit returns the job id").to_string();
+        let done = c.round_trip(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
+        assert_eq!(done.str("outcome"), Some(outcome), "{job}");
+        jobs.push(job);
+    }
+    handle.shutdown();
+    for job in &jobs {
+        let mut names: Vec<String> = std::fs::read_dir(store.join(job))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["meta", "program.rules", "result", "state.ckpt"], "{job}");
+    }
+
+    let rules = dir.join("diverging.rules");
+    std::fs::write(&rules, DIVERGING).unwrap();
+    let ckpt = dir.join("cli.ckpt");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_chasekit"))
+        .env_remove("CHASEKIT_FAILPOINTS")
+        .args(["chase", rules.to_str().unwrap(), "--steps", "60"])
+        .args(["--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "25"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(10));
+    assert_eq!(job_state(&store.join(&jobs[0])), std::fs::read_to_string(&ckpt).unwrap());
+}
+
+/// A job's `state.ckpt` taken under another variant than its `meta` names
+/// fails the job with an error naming both; the wrong chase never runs.
+#[test]
+fn recovered_job_with_a_checkpoint_of_another_variant_fails_named() {
+    let dir = scratch("variant-mismatch");
+    let store = dir.join("store");
+    let spec = JobSpec { variant: ChaseVariant::Restricted, ..spec_with_steps(60) };
+    let job_dir = JobStore::open(&store).unwrap().create_job("job-0", DIVERGING, &spec).unwrap();
+    let program = Program::parse(DIVERGING).unwrap();
+    run_job(&program, &spec_with_steps(30), &job_dir, CancelToken::new(), None).unwrap();
+    let parked = job_state(&job_dir);
+
+    let handle = start(&store, |_| {});
+    assert_eq!(handle.recovered_jobs().to_vec(), vec!["job-0".to_string()]);
+    let mut c = Client::connect(handle.addr());
+    let done = c.round_trip(r#"{"op":"wait","job":"job-0"}"#);
+    assert_eq!(done.str("state"), Some("failed"));
+    let detail = done.str("detail").unwrap_or_default();
+    assert!(detail.contains("semi-oblivious") && detail.contains("restricted"), "{detail}");
+    assert_eq!(job_state(&job_dir), parked, "the refused job published nothing");
+    assert!(!JobPaths::new(&job_dir).result().exists());
     handle.shutdown();
 }
 
@@ -503,14 +575,14 @@ fn update_derives_a_new_job_from_a_stored_program() {
     assert_eq!(done.str("outcome"), Some("saturated"));
     assert_eq!(done.num("atoms"), Some(2));
 
-    // The derived job's final checkpoint is bit-identical to a solo run
+    // The derived job's final snapshot is bit-identical to a solo run
     // of the edited program — the canonical from-scratch rebuild.
     let mut program = Program::parse(SATURATING).unwrap();
     let edits = chasekit::engine::parse_edit_script(script, &mut program).unwrap();
     let edited = chasekit::engine::edited_program(&program, &edits);
     let edited_text = chasekit::core::display::program_to_string(&edited);
     let want = solo_checkpoint(&dir.join("solo"), &edited_text, &JobSpec::server_default());
-    let got = std::fs::read_to_string(dir.join("store").join(&derived).join("final.ckpt")).unwrap();
+    let got = std::fs::read_to_string(dir.join("store").join(&derived).join("state.ckpt")).unwrap();
     assert_eq!(got, want, "derived job diverged from the solo rebuild");
 
     // Structured failure shapes: unknown job, hostile id, bad script.

@@ -2,7 +2,7 @@
 //!
 //! The headline guarantee: **kill the server process at any injected
 //! server-side fault point — or with a genuine SIGKILL — restart it on the
-//! same store, and every admitted job completes with a final checkpoint
+//! same store, and every admitted job completes with a final snapshot
 //! bit-identical to an uninterrupted solo CLI run.** The in-process
 //! behavioural suite lives in `tests/serve.rs`; everything here spawns the
 //! actual binary and real processes die.
@@ -192,7 +192,7 @@ fn solo_reference(dir: &Path, steps: u64) -> String {
 }
 
 /// Waits for `job` to complete on a restarted server and asserts its
-/// final checkpoint is bit-identical to the solo reference.
+/// final snapshot is bit-identical to the solo reference.
 fn finish_and_compare(server: &Server, store: &Path, job: &str, steps: u64, want: &str) {
     let mut c = server.connect();
     c.send(&format!(r#"{{"op":"wait","job":"{job}"}}"#)).unwrap();
@@ -200,8 +200,8 @@ fn finish_and_compare(server: &Server, store: &Path, job: &str, steps: u64, want
     assert_eq!(field(&done, "state"), Some("done"), "{job}: {done}");
     assert_eq!(field(&done, "outcome"), Some("applications"), "{job}: {done}");
     assert_eq!(field_num(&done, "applications"), Some(steps), "{job}: {done}");
-    let got = std::fs::read_to_string(store.join(job).join("final.ckpt")).unwrap();
-    assert_eq!(got, want, "{job}: recovered final checkpoint diverged from the solo run");
+    let got = std::fs::read_to_string(store.join(job).join("state.ckpt")).unwrap();
+    assert_eq!(got, want, "{job}: recovered final snapshot diverged from the solo run");
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ fn finish_and_compare(server: &Server, store: &Path, job: &str, steps: u64, want
 
 /// Injected-kill plans covering every server-side crash window: the admit
 /// window (job durable, client un-acked), the snapshot sites inside the
-/// job's durable loop, and the result window (final checkpoint written,
+/// job's durable loop, and the result window (final snapshot written,
 /// result marker not). Hit 1 of the snapshot sites is the admission `meta`
 /// write, which shares the atomic-publication code path (its own kill is
 /// `kill_before_admission_marker_discards_the_directory`); hits 2–4 are the
@@ -333,15 +333,15 @@ fn older_job_directory_with_a_journal_restarts_bit_identical() {
     let dir = scratch("older-format");
     std::fs::create_dir_all(dir.join("solo")).unwrap();
     let program = Program::parse(DIVERGING).unwrap();
-    let want = run_job(
+    run_job(
         &program,
         &JobSpec { steps: STEPS, checkpoint_every: 25, ..JobSpec::server_default() },
         &dir.join("solo"),
         CancelToken::new(),
         None,
     )
-    .unwrap()
-    .checkpoint_text;
+    .unwrap();
+    let want = std::fs::read_to_string(dir.join("solo").join("state.ckpt")).unwrap();
 
     // The job as the older server left it: snapshot at 25 applications,
     // journal records 1..=40.
