@@ -27,6 +27,7 @@ use crate::derivation::{Application, DerivationDag};
 use crate::guard::{
     approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, CancelToken, StopReason,
 };
+use crate::incremental::SkipLog;
 use crate::trace::{core_seq, ProgressMeter, ProgressReport, TraceEvent, TraceHandle, TraceSink};
 use crate::variant::ChaseVariant;
 
@@ -179,7 +180,7 @@ pub struct ChaseMachine<'p> {
     /// recorded only when `track_derivation` is on. Incremental retraction
     /// must re-open a skip whose satisfaction witness was deleted
     /// (see [`crate::incremental`]); untracked runs record nothing.
-    pub(crate) skipped: Vec<Trigger>,
+    pub(crate) skips: SkipLog,
 }
 
 impl<'p> ChaseMachine<'p> {
@@ -230,7 +231,7 @@ impl<'p> ChaseMachine<'p> {
             progress: None,
             scratch: MatchScratch::default(),
             args_buf: Vec::new(),
-            skipped: Vec::new(),
+            skips: SkipLog::default(),
         };
         for rule_idx in 0..program.rules().len() {
             machine.enqueue_matches(rule_idx, None);
@@ -419,44 +420,49 @@ impl<'p> ChaseMachine<'p> {
     pub fn step(&mut self) -> Option<StepEvent> {
         loop {
             let trigger = self.next_trigger()?;
-            if self.skip_if_satisfied(&trigger) {
-                continue;
+            if let Some(trigger) = self.unless_satisfied(trigger) {
+                return Some(self.apply(trigger));
             }
-            return Some(self.apply(trigger));
         }
     }
 
-    /// The restricted chase's merge-time re-check: whether the trigger's
-    /// head is already satisfied in the *current* instance (in which case
-    /// it is counted as a skip). Always false for the (semi-)oblivious
-    /// variants.
-    fn skip_if_satisfied(&mut self, trigger: &Trigger) -> bool {
-        let rule = &self.program.rules()[trigger.rule];
-        if self.config.variant.checks_satisfaction()
-            && exists_extension_scratch(
-                rule.head(),
-                rule.var_count(),
+    /// The restricted chase's merge-time re-check: gives the trigger back
+    /// unless its head is already satisfied in the *current* instance, in
+    /// which case it is counted as a skip. Always gives it back for the
+    /// (semi-)oblivious variants.
+    fn unless_satisfied(&mut self, trigger: Trigger) -> Option<Trigger> {
+        if !self.config.variant.checks_satisfaction() {
+            return Some(trigger);
+        }
+        let rule = trigger.rule;
+        if self.config.track_derivation {
+            // Remember the skip, with the atoms its body and satisfaction
+            // witness use, so incremental retraction can re-open it if one
+            // of them is later deleted (see `crate::incremental`). Only
+            // derivation-tracked machines are updatable, so untracked runs
+            // pay nothing.
+            let Some(support) = self.satisfaction_support(&trigger) else {
+                return Some(trigger);
+            };
+            self.approx_bytes += approx_trigger_bytes(trigger.subst.len());
+            self.skips.record(trigger, support);
+        } else {
+            let tgd = &self.program.rules()[rule];
+            if !exists_extension_scratch(
+                tgd.head(),
+                tgd.var_count(),
                 &self.instance,
                 &trigger.subst,
                 &mut self.scratch,
-            )
-        {
-            self.stats.satisfied_skips += 1;
-            if self.config.track_derivation {
-                // Remember the skip so incremental retraction can re-open
-                // it if its satisfaction witness is later deleted (see
-                // `crate::incremental`). Only derivation-tracked machines
-                // are updatable, so untracked runs pay nothing.
-                self.skipped.push(Trigger { rule: trigger.rule, subst: trigger.subst.clone() });
-                self.approx_bytes += approx_trigger_bytes(trigger.subst.len());
+            ) {
+                return Some(trigger);
             }
-            if let Some(t) = &mut self.trace {
-                t.core(TraceEvent::TriggerSkipped { rule: trigger.rule });
-            }
-            true
-        } else {
-            false
         }
+        self.stats.satisfied_skips += 1;
+        if let Some(t) = &mut self.trace {
+            t.core(TraceEvent::TriggerSkipped { rule });
+        }
+        None
     }
 
     /// Applies one trigger unconditionally: extends the substitution with
@@ -469,9 +475,10 @@ impl<'p> ChaseMachine<'p> {
         self.stats.applications += 1;
 
         // Capture the trigger's identity key before existential binding
-        // (it is a projection onto universal variables only). Retraction
-        // repair needs it to release `seen` entries for dead matches.
-        let key = if self.config.track_derivation {
+        // (it is a projection onto universal variables only), unless it is
+        // the frontier assignment recorded below. Retraction repair needs
+        // it to release `seen` entries for dead matches.
+        let key = if self.config.track_derivation && !self.config.variant.keys_on_frontier(rule) {
             self.config.variant.trigger_key(rule, &trigger.subst)
         } else {
             Vec::new()
@@ -531,7 +538,7 @@ impl<'p> ChaseMachine<'p> {
 
         let mut new_atoms = Vec::new();
         let mut duplicates = 0usize;
-        for head_atom in rule.head() {
+        for (pos, head_atom) in rule.head().iter().enumerate() {
             // Build the head image in the reusable buffer; `insert_terms`
             // copies it into the arena only when the atom is new.
             let mut args_buf = std::mem::take(&mut self.args_buf);
@@ -550,6 +557,11 @@ impl<'p> ChaseMachine<'p> {
             } else {
                 self.stats.duplicate_atoms += 1;
                 duplicates += 1;
+                // Another support of an existing atom: retraction restores
+                // the atom from it if its creator dies.
+                if let Some(app) = app_idx.filter(|_| !new_atoms.contains(&id)) {
+                    self.derivation.record_producer(id, app, pos);
+                }
             }
         }
 
@@ -925,13 +937,32 @@ mod tests {
         );
         assert_eq!(m.run(&Budget::default()), StopReason::Saturated);
         let dag = m.derivation();
-        assert_eq!(dag.applications().len(), 2);
+        assert_eq!(dag.applications().count(), 2);
         // r(z) was created from q(a, z), which came from p(a).
         let r_pred = p.vocab.pred("r").unwrap();
         let (r_id, _) = m.instance().iter().find(|(_, a)| a.pred == r_pred).unwrap();
         let chain = dag.ancestor_chain(r_id);
         assert_eq!(chain.len(), 2);
         assert!(dag.creator_of(chain[1]).is_none(), "the chain ends at the fact p(a)");
+    }
+
+    #[test]
+    fn recorded_keys_equal_the_trigger_keys() {
+        // Rule 0 has a body-only variable, so only its oblivious key is
+        // more than the frontier; rule 1's keys are its frontier.
+        let p = Program::parse("e(a, b). e(X, Y) -> f(X). f(X) -> g(X, Z).").unwrap();
+        let a = Term::Const(p.vocab.constant("a").unwrap());
+        let b = Term::Const(p.vocab.constant("b").unwrap());
+        for (variant, e_key) in
+            [(ChaseVariant::Oblivious, vec![a, b]), (ChaseVariant::SemiOblivious, vec![a])]
+        {
+            let mut m =
+                ChaseMachine::new(&p, ChaseConfig::of(variant).with_derivation(), facts(&p));
+            assert_eq!(m.run(&Budget::default()), StopReason::Saturated);
+            let keys: Vec<(usize, &[Term])> =
+                m.derivation().applications().map(|app| (app.rule, app.key())).collect();
+            assert_eq!(keys, vec![(0, &e_key[..]), (1, &[a][..])], "{variant}");
+        }
     }
 
     #[test]

@@ -260,7 +260,7 @@ impl Checkpoint {
             progress: None,
             scratch: chasekit_core::MatchScratch::default(),
             args_buf: Vec::new(),
-            skipped: Vec::new(),
+            skips: Default::default(),
         })
     }
 
@@ -982,8 +982,8 @@ mod tests {
 
         assert_eq!(resumed.stats(), straight.stats());
         assert_eq!(
-            resumed.derivation().applications().len(),
-            straight.derivation().applications().len()
+            resumed.derivation().applications().count(),
+            straight.derivation().applications().count()
         );
         assert_eq!(resumed.skolem_cyclic(), straight.skolem_cyclic());
     }

@@ -6,21 +6,26 @@
 //! - **Additions** enter through the ordinary delta-matching path: the new
 //!   atom is inserted, trigger discovery runs pinned to it, and the
 //!   completion run saturates the queue.
-//! - **Retractions** follow delete-and-rederive (DRed). Retracting a base
-//!   fact computes its *derivation cone* — every application transitively
-//!   consuming it and every atom those applications first created — via
-//!   [`DerivationDag::cone_of`] and tombstones the cone in the instance
-//!   ([`Instance::retract`]). Applications outside the cone keep their
-//!   bodies, so their head atoms lost to the cone are restored with their
-//!   original nulls. Rederivation then goes through the chase itself: a
-//!   trigger is identified by its rule and key (the frontier image, or the
-//!   whole universal image for the oblivious chase), not by one body
-//!   match, so every identity whose body image died — a cone application,
-//!   a pending trigger, a restricted skip — is released and re-admitted if
-//!   *any* body match with the same key survives. The cone applications
-//!   leave the DAG, and the completion chase re-fires what was re-admitted
-//!   with fresh nulls, while its delta matching finds the matches that
-//!   only those re-fires enable.
+//! - **Retractions** follow delete-and-rederive (DRed), at a cost set by
+//!   the cone rather than the whole DAG. Retracting a base fact computes
+//!   its *derivation cone* — every application transitively consuming it
+//!   and every atom those applications first created — via
+//!   [`DerivationDag::cone_of`], tombstones the cone's atoms in the
+//!   instance ([`Instance::retract`]) and drops its applications in place
+//!   ([`DerivationDag::drop_application`]); every other application keeps
+//!   its index. A deleted atom that a live application also produced is
+//!   restored with its original nulls: when the chase meets a head atom
+//!   that already exists, it records the application as another producer
+//!   of that atom ([`DerivationDag::record_producer`]), and the first live
+//!   producer becomes the restored atom's creator. Rederivation then goes
+//!   through the chase itself: a trigger is identified by its rule and key
+//!   (the frontier image, or the whole universal image for the oblivious
+//!   chase), not by one body match, so every identity whose body image
+//!   died — a cone application, a pending trigger, a restricted skip — is
+//!   released and re-admitted if *any* body match with the same key
+//!   survives. The completion chase re-fires what was re-admitted with
+//!   fresh nulls, while its delta matching finds the matches that only
+//!   those re-fires enable.
 //!
 //! **Variant semantics.** For the oblivious and semi-oblivious chase the
 //! updated machine is equivalent to a from-scratch chase of the edited
@@ -28,8 +33,10 @@
 //! [`canonical_form`]). The restricted chase is order-dependent, so the
 //! updated machine is instead a *restricted-chase-valid* result: a model
 //! hom-equivalent to the from-scratch result. To keep that guarantee the
-//! machine records triggers skipped as "already satisfied"; a retraction
-//! that deletes a skip's satisfaction witness re-opens the trigger.
+//! machine records triggers skipped as "already satisfied", each indexed
+//! by the atoms its body image and satisfaction witness use; a
+//! retraction re-checks only the skips indexed under an atom it deleted,
+//! and re-opens those whose body or witness is gone.
 //!
 //! Updated machines cannot be checkpointed (atom ids are no longer dense;
 //! see [`crate::checkpoint`]); callers that need a durable artifact should
@@ -40,12 +47,11 @@
 use std::ops::ControlFlow;
 
 use chasekit_core::{
-    exists_extension_scratch, for_each_hom_scratch, Atom, AtomId, FxHashMap, FxHashSet, Instance,
-    NullId, PredId, Program, Substitution, Term, Tgd,
+    for_each_hom_scratch, Atom, AtomId, FxHashMap, Instance, NullId, Program, Substitution, Term,
 };
 
 use crate::chase::{ChaseMachine, Trigger};
-use crate::derivation::{Application, DerivationDag};
+use crate::derivation::{AtomLists, DerivationDag};
 use crate::guard::{
     approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, StopReason,
 };
@@ -120,6 +126,72 @@ pub struct RetractOutcome {
     /// Restricted only: recorded satisfied-skips whose body or witness
     /// died and that a surviving body match re-admits.
     pub reopened_skips: usize,
+    /// Work done: the derivation-DAG entries (consumers walked by the cone
+    /// search, recorded producers of deleted atoms) and recorded-skip
+    /// index entries this retraction visited. Set by the cone, not by the
+    /// size of the DAG.
+    pub visited: usize,
+}
+
+/// Restricted-chase triggers skipped as already satisfied, each indexed by
+/// the atoms its body image and satisfaction witness used when it was last
+/// checked. A retraction re-checks only the skips indexed under an atom it
+/// deleted: every other skip still has its body and witness.
+#[derive(Debug, Default)]
+pub(crate) struct SkipLog {
+    /// One slot per recorded skip, in recording order; `None` once the
+    /// skip is released.
+    slots: Vec<Option<Skip>>,
+    /// For each atom: the slots whose support used it. An entry goes stale
+    /// when a re-check moves its skip to other atoms or releases it;
+    /// [`touched_by`](Self::touched_by) filters stale entries out.
+    by_atom: AtomLists<u32>,
+}
+
+#[derive(Debug)]
+struct Skip {
+    trigger: Trigger,
+    /// Body-image and witness atom ids, sorted and distinct.
+    support: Vec<AtomId>,
+}
+
+impl SkipLog {
+    /// Records a skip resting on `support` (see
+    /// [`ChaseMachine::satisfaction_support`]).
+    pub(crate) fn record(&mut self, trigger: Trigger, support: Vec<AtomId>) {
+        let slot = self.slots.len();
+        self.index(slot, &support, &[]);
+        self.slots.push(Some(Skip { trigger, support }));
+    }
+
+    /// Indexes `slot` under each atom of `support` not in `indexed` (both
+    /// sorted), which already lists it.
+    fn index(&mut self, slot: usize, support: &[AtomId], indexed: &[AtomId]) {
+        let slot = u32::try_from(slot).expect("fewer than 2^32 recorded skips");
+        for &a in support {
+            if indexed.binary_search(&a).is_err() {
+                self.by_atom.push(a, slot);
+            }
+        }
+    }
+
+    /// Removes the index entries of the `dead` atoms and returns the live
+    /// skips whose support used one of them, in recording order, with the
+    /// number of index entries examined.
+    fn touched_by(&mut self, dead: &[AtomId]) -> (Vec<usize>, usize) {
+        let mut touched = Vec::new();
+        let mut visited = 0;
+        for a in dead {
+            let slots = self.by_atom.take(*a);
+            visited += slots.len();
+            touched.extend(slots.into_iter().map(|slot| slot as usize).filter(|&slot| {
+                self.slots[slot].as_ref().is_some_and(|k| k.support.binary_search(a).is_ok())
+            }));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        (touched, visited)
+    }
 }
 
 /// Summary of an applied edit script.
@@ -197,8 +269,10 @@ impl<'p> ChaseMachine<'p> {
         }
 
         // Phase 1: overdelete the cone.
-        let (dead_apps, dead_atoms) = self.derivation.cone_of(root);
-        for id in std::iter::once(root).chain(dead_atoms.iter().copied()) {
+        let cone = self.derivation.cone_of(root);
+        out.visited += cone.visited;
+        let deleted: Vec<AtomId> = std::iter::once(root).chain(cone.atoms).collect();
+        for &id in &deleted {
             let arity = self.instance.atom(id).arity();
             if self.instance.retract(id) {
                 out.overdeleted += 1;
@@ -206,53 +280,50 @@ impl<'p> ChaseMachine<'p> {
             }
         }
         if let Some(t) = &mut self.trace {
-            t.note(TraceEvent::Retract { atoms: out.overdeleted, apps: dead_apps.len() });
+            t.note(TraceEvent::Retract { atoms: out.overdeleted, apps: cone.apps.len() });
         }
-        let dead_set: FxHashSet<usize> = dead_apps.iter().copied().collect();
 
-        // Phase 2: split the DAG. A live application's body is intact (its
-        // parents are outside the cone by construction), so any of its head
-        // contents lost to the cone is restored outright, with its original
-        // nulls. This is what lets an independently-derivable content —
-        // including the retracted fact itself — survive the retraction as
-        // derived. Only rules with a head predicate of a deleted atom can
-        // have lost one. Cone applications are dropped, keeping their
-        // trigger identities for phase 3; their nulls die with them.
-        let lost: FxHashSet<PredId> = std::iter::once(root)
-            .chain(dead_atoms.iter().copied())
-            .map(|id| self.instance.atom(id).pred)
-            .collect();
-        let may_lose: Vec<bool> = self
-            .program
-            .rules()
-            .iter()
-            .map(|r| r.head().iter().any(|a| lost.contains(&a.pred)))
-            .collect();
-        let mut survivors: Vec<Application> =
-            Vec::with_capacity(self.derivation.applications().len() - dead_set.len());
-        let mut released: Vec<(usize, Vec<Term>)> = Vec::with_capacity(dead_set.len());
-        for (idx, app) in self.derivation.applications().iter().enumerate() {
-            if dead_set.contains(&idx) {
-                released.push((app.rule, app.key.clone()));
-                for n in &app.born_nulls {
-                    self.skolem.remove(n);
-                }
-                continue;
+        // Phase 2: drop the cone's applications in place, keeping their
+        // trigger identities for phase 3; their nulls die with them. A live
+        // application's body is intact (its parents are outside the cone by
+        // construction), so a deleted atom that one of them also produced
+        // is restored outright, with its original nulls, and its first live
+        // producer becomes its creator. This is what lets an
+        // independently-derivable content — including the retracted fact
+        // itself — survive the retraction as derived. Atoms are restored in
+        // the order of (producer index, head position), so the new ids do
+        // not depend on the order the cone was walked in.
+        let mut released: Vec<(usize, Vec<Term>)> = Vec::with_capacity(cone.apps.len());
+        for &idx in &cone.apps {
+            let app = self.derivation.drop_application(idx).expect("cone applications are live");
+            for n in &app.born_nulls {
+                self.skolem.remove(n);
             }
-            let mut app = app.clone();
-            if may_lose[app.rule] {
-                for (pred, args) in head_images(&self.program.rules()[app.rule], &app) {
-                    let (id, fresh) = self.instance.insert_terms(pred, &args);
-                    if fresh {
-                        out.restored_atoms += 1;
-                        self.approx_bytes += approx_atom_bytes(args.len());
-                        app.produced.push(id);
-                    }
-                }
-            }
-            survivors.push(app);
+            released.push((app.rule, app.into_key()));
         }
-        self.derivation = DerivationDag::from_applications(survivors);
+        let mut restorable: Vec<(AtomId, Vec<(usize, usize)>)> = Vec::new();
+        for &id in &deleted {
+            let mut producers = self.derivation.take_producers(id);
+            out.visited += producers.len();
+            producers.retain(|&(app, _)| self.derivation.is_live(app));
+            if !producers.is_empty() {
+                restorable.push((id, producers));
+            }
+        }
+        restorable.sort_unstable_by_key(|(_, producers)| producers[0]);
+        for (id, producers) in restorable {
+            let mut args = std::mem::take(&mut self.args_buf);
+            args.clear();
+            let atom = self.instance.atom(id);
+            let pred = atom.pred;
+            args.extend_from_slice(atom.args);
+            let (restored, fresh) = self.instance.insert_terms(pred, &args);
+            debug_assert!(fresh, "a deleted content stays absent until restored");
+            self.approx_bytes += approx_atom_bytes(args.len());
+            self.args_buf = args;
+            self.derivation.record_restored(restored, &producers);
+            out.restored_atoms += 1;
+        }
 
         // Phase 3: every trigger identity whose body image lost an atom is
         // released and re-admitted through a surviving body match, if one
@@ -277,23 +348,19 @@ impl<'p> ChaseMachine<'p> {
             let key = self.config.variant.trigger_key(&self.program.rules()[t.rule], &t.subst);
             self.release_and_readmit(t.rule, key);
         }
-        for t in std::mem::take(&mut self.skipped) {
-            let rule = &self.program.rules()[t.rule];
-            if self.body_holds(&t)
-                && exists_extension_scratch(
-                    rule.head(),
-                    rule.var_count(),
-                    &self.instance,
-                    &t.subst,
-                    &mut self.scratch,
-                )
-            {
-                self.skipped.push(t);
+        let (touched, visited) = self.skips.touched_by(&deleted);
+        out.visited += visited;
+        for slot in touched {
+            let skip = self.skips.slots[slot].take().expect("touched skips are live");
+            if let Some(support) = self.satisfaction_support(&skip.trigger) {
+                self.skips.index(slot, &support, &skip.support);
+                self.skips.slots[slot] = Some(Skip { trigger: skip.trigger, support });
                 continue;
             }
+            let t = skip.trigger;
             self.approx_bytes =
                 self.approx_bytes.saturating_sub(approx_trigger_bytes(t.subst.len()));
-            let key = self.config.variant.trigger_key(rule, &t.subst);
+            let key = self.config.variant.trigger_key(&self.program.rules()[t.rule], &t.subst);
             if self.release_and_readmit(t.rule, key) {
                 out.reopened_skips += 1;
             }
@@ -303,6 +370,44 @@ impl<'p> ChaseMachine<'p> {
             t.note(TraceEvent::Rederive { apps: out.rederived_apps, atoms: out.restored_atoms });
         }
         Ok(out)
+    }
+
+    /// What a satisfied trigger's skip rests on: the ids of its body image
+    /// and of one extension of it to the head (the satisfaction witness),
+    /// sorted and distinct. `None` if the head is not satisfied or the
+    /// body no longer holds.
+    pub(crate) fn satisfaction_support(&mut self, t: &Trigger) -> Option<Vec<AtomId>> {
+        let rule = &self.program.rules()[t.rule];
+        let instance = &self.instance;
+        let mut args = std::mem::take(&mut self.args_buf);
+        let mut image = |a: &Atom, s: &Substitution| {
+            args.clear();
+            args.extend(a.args.iter().map(|&t| s.apply(t)));
+            instance.id_of_parts(a.pred, &args)
+        };
+        let mut witness = None;
+        for_each_hom_scratch(
+            rule.head(),
+            rule.var_count(),
+            instance,
+            Some(&t.subst),
+            None,
+            &mut self.scratch,
+            &mut |s| {
+                witness = rule.head().iter().map(|a| image(a, s)).collect();
+                ControlFlow::Break(())
+            },
+        );
+        let support = witness.and_then(|mut support: Vec<AtomId>| {
+            for a in rule.body() {
+                support.push(image(a, &t.subst)?);
+            }
+            support.sort_unstable();
+            support.dedup();
+            Some(support)
+        });
+        self.args_buf = args;
+        support
     }
 
     /// Whether every body atom of a recorded trigger is present by content.
@@ -419,34 +524,6 @@ fn check_vocab(program: &Program, fact: &Atom) -> Result<(), UpdateError> {
     Ok(())
 }
 
-/// Reconstructs an application's full head image — every head atom under
-/// the frontier assignment and the originally-minted nulls, in head order.
-fn head_images(rule: &Tgd, app: &Application) -> Vec<(PredId, Vec<Term>)> {
-    let mut binding: Vec<Option<Term>> = vec![None; rule.var_count()];
-    for (v, t) in rule.frontier().iter().zip(&app.frontier) {
-        binding[v.index()] = Some(*t);
-    }
-    for (v, n) in rule.existentials().iter().zip(&app.born_nulls) {
-        binding[v.index()] = Some(Term::Null(*n));
-    }
-    rule.head()
-        .iter()
-        .map(|a| {
-            let args = a
-                .args
-                .iter()
-                .map(|&t| match t {
-                    Term::Var(v) => {
-                        binding[v.index()].expect("head variables are frontier or existential")
-                    }
-                    ground => ground,
-                })
-                .collect();
-            (a.pred, args)
-        })
-        .collect()
-}
-
 /// Parses an edit script: one edit per line, `add <atom>.` or
 /// `retract <atom>.`, with `%`-comments and blank lines ignored. Predicate
 /// and constant names are interned into `program`'s vocabulary (new
@@ -546,7 +623,7 @@ pub fn canonical_form(instance: &Instance, dag: &DerivationDag) -> Vec<String> {
                     let app = dag.app(idx);
                     let ex =
                         app.born_nulls.iter().position(|&b| b == n).expect("minter lists its null");
-                    (app.rule, ex, app.key.clone())
+                    (app.rule, ex, app.key().to_vec())
                 };
                 let args: Vec<String> = key.iter().map(|&t| term_name(t, dag, names)).collect();
                 format!("s{rule}.{ex}({})", args.join(","))
@@ -796,6 +873,40 @@ mod tests {
         assert_eq!(report.reopened_skips, 1);
         assert!(is_model(&p, m.instance()), "h-rule must be satisfied again");
         check_support(m.instance(), m.derivation()).unwrap();
+    }
+
+    #[test]
+    fn retraction_work_is_set_by_the_cone_not_the_dag() {
+        // One chain per constant: p(c) fires e(c, _), whose f(c) the h(c)
+        // chain also supports (a second producer under so, a skip under
+        // restricted). Retracting p(c0) has the same small cone whether
+        // the DAG holds 5 chains or 50.
+        let rules = "p(X) -> e(X, Y).\nh(X) -> e(X, Y).\ne(X, Y) -> f(X), g(Y).\n";
+        for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
+            let retract = |chains: usize| {
+                let facts: String = (0..chains).map(|i| format!("p(c{i}). h(c{i}).\n")).collect();
+                let mut p = Program::parse(&format!("{rules}{facts}")).unwrap();
+                let edits = parse_edit_script("retract p(c0).", &mut p).unwrap();
+                let mut m = machine(&p, variant);
+                assert!(m.run(&Budget::unlimited()).is_saturated());
+                let apps = m.derivation().applications().count();
+                let Edit::Retract(fact) = &edits[0] else { unreachable!() };
+                let out = m.retract_fact(fact).unwrap();
+                assert!(m.run(&Budget::unlimited()).is_saturated());
+                check_support(m.instance(), m.derivation()).unwrap();
+                (apps, out)
+            };
+            let (small_dag, small) = retract(5);
+            let (large_dag, large) = retract(50);
+            assert!(large_dag >= 10 * small_dag, "{variant}: {small_dag} vs {large_dag}");
+            assert_eq!(small, large, "{variant}: the same cone does the same work");
+            let cone = small.overdeleted + small.invalidated_apps + small.rederived_apps;
+            assert!(small.visited > 0 && small.visited <= 2 * cone, "{variant}: {small:?}");
+            match variant {
+                ChaseVariant::Restricted => assert_eq!(small.reopened_skips, 1, "{small:?}"),
+                _ => assert_eq!(small.restored_atoms, 1, "{small:?}"),
+            }
+        }
     }
 
     #[test]

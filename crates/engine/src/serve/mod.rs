@@ -31,4 +31,4 @@ pub mod store;
 pub use protocol::{parse_request, read_line_capped, ReadLine, Request};
 pub use runner::{run_job, JobPaths, JobReport, JobSpec};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use store::{JobResult, JobStore, ScanReport, StoredJob};
+pub use store::{Finished, JobResult, JobStore, ScanReport, StoredJob};

@@ -43,7 +43,7 @@ use crate::serve::protocol::{
     Value,
 };
 use crate::serve::runner::{run_job, JobSpec};
-use crate::serve::store::{JobResult, JobStore};
+use crate::serve::store::{Finished, JobResult, JobStore};
 use crate::trace::{JsonlSink, TraceSink};
 use crate::{CancelToken, StopReason};
 
@@ -69,9 +69,9 @@ pub struct ServeConfig {
     /// control bounds jobs; this bounds the front-end).
     pub max_connections: usize,
     /// Terminal job entries kept in memory. Older done/failed entries are
-    /// evicted; `status`/`wait` on an evicted completed job fall back to
-    /// its on-disk `result` marker, so eviction is invisible for anything
-    /// the store remembers.
+    /// evicted; `status`/`wait` on an evicted job fall back to its on-disk
+    /// `result` marker, so eviction is invisible for anything the store
+    /// remembers.
     pub terminal_retention: usize,
     /// On-disk retention of completed job directories: after each job
     /// completes (and once at startup), the oldest completed directories
@@ -102,15 +102,15 @@ impl ServeConfig {
 
 /// A job's lifecycle state. `queued -> running -> done | failed`;
 /// `cancel` is cooperative and lands as `done` with outcome `cancelled`.
-/// `interrupted` is the shutdown window only: the job is still in flight
-/// on disk and the next start recovers it, so it is neither done nor
-/// failed.
+/// A finished job has written its `result` marker, which records the same
+/// [`Finished`] value. `interrupted` is the shutdown window only: the job
+/// is still in flight on disk and the next start recovers it, so it is
+/// neither done nor failed.
 #[derive(Debug, Clone)]
 enum Phase {
     Queued,
     Running,
-    Done(JobResult),
-    Failed(String),
+    Finished(Finished),
     Interrupted,
 }
 
@@ -284,10 +284,12 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     })?;
 
     let mut cache = ResultCache::default();
-    for (_, result) in &scan.completed {
-        if result.outcome == StopReason::Saturated.keyword() {
-            cache.insert((result.fingerprint, result.variant.clone()), result.clone());
-        }
+    let saturated = scan.completed.iter().filter_map(|(_, finished)| match finished {
+        Finished::Done(r) if r.outcome == StopReason::Saturated.keyword() => Some(r),
+        _ => None,
+    });
+    for result in saturated {
+        cache.insert((result.fingerprint, result.variant.clone()), result.clone());
     }
 
     // Startup compaction, after the cache is primed from the directories
@@ -407,34 +409,39 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(shared, &id, cancel, stream)));
-        let phase = match outcome {
+        let failure = match outcome {
             Ok(Ok(Some(result))) => {
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                Phase::Done(result)
+                Ok(Phase::Finished(Finished::Done(result)))
             }
-            Ok(Ok(None)) => {
-                // Interrupted by shutdown: leave the job in-flight on disk
-                // (no result marker) so the next start recovers it, and
-                // report it as such — not as a failure.
-                Phase::Interrupted
-            }
-            Ok(Err(msg)) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                Phase::Failed(msg)
-            }
+            // Interrupted by shutdown: leave the job in-flight on disk (no
+            // result marker) so the next start recovers it, and report it
+            // as such — not as a failure.
+            Ok(Ok(None)) => Ok(Phase::Interrupted),
+            Ok(Err(msg)) => Err(msg),
             Err(panic) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "opaque panic payload".to_string());
-                Phase::Failed(format!("job panicked: {msg}"))
+                Err(format!("job panicked: {msg}"))
             }
         };
+        let phase = failure.unwrap_or_else(|msg| {
+            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+            // A failed job is finished on disk too, so a restart does not
+            // run it again. If even the marker cannot be written, the job
+            // stays in flight there and the next start retries it.
+            let failed = Finished::Failed(msg);
+            if let Err(e) = shared.store.write_result(&id, &failed) {
+                eprintln!("chasekit serve: cannot record the failure of {id}: {e}");
+            }
+            Phase::Finished(failed)
+        });
         {
             let mut jobs = lock(&shared.jobs);
-            let terminal = matches!(phase, Phase::Done(_) | Phase::Failed(_));
+            let terminal = matches!(phase, Phase::Finished(_));
             if let Some(entry) = jobs.get_mut(&id) {
                 entry.phase = phase;
             }
@@ -486,6 +493,9 @@ fn execute_job(
     if let Err(e) = failpoint::trip_io(points::SERVE_RESULT) {
         return Err(format!("cannot publish result for {id}: {e}"));
     }
+    if let Some(detail) = &report.io_error {
+        eprintln!("chasekit serve: {id} stopped: {detail}");
+    }
     let result = JobResult {
         outcome: report.outcome.keyword().to_string(),
         applications: report.applications,
@@ -493,10 +503,11 @@ fn execute_job(
         nulls: report.nulls as u64,
         fingerprint,
         variant: stored.spec.variant.name().to_string(),
+        detail: report.io_error,
     };
     shared
         .store
-        .write_result(id, &result)
+        .write_result(id, &Finished::Done(result.clone()))
         .map_err(|e| format!("cannot publish result for {id}: {e}"))?;
 
     if report.outcome == StopReason::Saturated {
@@ -864,61 +875,59 @@ fn stream_job(
 }
 
 fn job_response(shared: &Arc<Shared>, id: &str) -> String {
-    {
-        let jobs = lock(&shared.jobs);
-        if let Some(entry) = jobs.get(id) {
-            let mut fields: Vec<(&str, Value)> = vec![("job", Value::Str(id.into()))];
-            match &entry.phase {
-                Phase::Queued => fields.push(("state", Value::Str("queued".into()))),
-                Phase::Running => fields.push(("state", Value::Str("running".into()))),
-                Phase::Done(result) => {
-                    fields.push(("state", Value::Str("done".into())));
-                    fields.push(("outcome", Value::Str(result.outcome.clone())));
-                    fields.push(("applications", Value::Num(result.applications)));
-                    fields.push(("atoms", Value::Num(result.atoms)));
-                    fields.push(("nulls", Value::Num(result.nulls)));
-                }
-                Phase::Failed(msg) => {
-                    fields.push(("state", Value::Str("failed".into())));
-                    fields.push(("detail", Value::Str(msg.clone())));
-                }
-                Phase::Interrupted => {
-                    fields.push(("state", Value::Str("interrupted".into())));
-                    fields.push((
-                        "detail",
-                        Value::Str(
-                            "interrupted by server shutdown; \
-                             still in flight on disk, recovers on restart"
-                                .into(),
-                        ),
-                    ));
-                }
+    let mut fields: Vec<(&str, Value)> = vec![("job", Value::Str(id.into()))];
+    let phase = lock(&shared.jobs).get(id).map(|entry| entry.phase.clone());
+    match phase {
+        Some(Phase::Queued) => fields.push(("state", Value::Str("queued".into()))),
+        Some(Phase::Running) => fields.push(("state", Value::Str("running".into()))),
+        Some(Phase::Finished(finished)) => finished_fields(&mut fields, &finished),
+        Some(Phase::Interrupted) => {
+            fields.push(("state", Value::Str("interrupted".into())));
+            fields.push((
+                "detail",
+                Value::Str(
+                    "interrupted by server shutdown; \
+                     still in flight on disk, recovers on restart"
+                        .into(),
+                ),
+            ));
+        }
+        // Not in memory: a finished job evicted by terminal retention (or
+        // finished before a restart) still answers from its on-disk result
+        // marker. The id is validated as one of ours before it touches a
+        // path.
+        None => match is_job_id(id).then(|| shared.store.read_result(id)) {
+            Some(Ok(Some(finished))) => finished_fields(&mut fields, &finished),
+            _ => {
+                return protocol::response(
+                    false,
+                    &[("error", Value::Str("unknown-job".into())), ("job", Value::Str(id.into()))],
+                )
             }
-            return protocol::response(true, &fields);
+        },
+    }
+    protocol::response(true, &fields)
+}
+
+/// The answer fields of a finished job, the same from memory and from its
+/// `result` marker.
+fn finished_fields(fields: &mut Vec<(&str, Value)>, finished: &Finished) {
+    match finished {
+        Finished::Done(result) => {
+            fields.push(("state", Value::Str("done".into())));
+            fields.push(("outcome", Value::Str(result.outcome.clone())));
+            fields.push(("applications", Value::Num(result.applications)));
+            fields.push(("atoms", Value::Num(result.atoms)));
+            fields.push(("nulls", Value::Num(result.nulls)));
+            if let Some(detail) = &result.detail {
+                fields.push(("detail", Value::Str(detail.clone())));
+            }
+        }
+        Finished::Failed(msg) => {
+            fields.push(("state", Value::Str("failed".into())));
+            fields.push(("detail", Value::Str(msg.clone())));
         }
     }
-    // Not in memory: a completed job evicted by terminal retention (or
-    // finished before a restart) still answers from its on-disk result
-    // marker. The id is validated as one of ours before it touches a path.
-    if is_job_id(id) {
-        if let Ok(Some(result)) = shared.store.read_result(id) {
-            return protocol::response(
-                true,
-                &[
-                    ("job", Value::Str(id.into())),
-                    ("state", Value::Str("done".into())),
-                    ("outcome", Value::Str(result.outcome.clone())),
-                    ("applications", Value::Num(result.applications)),
-                    ("atoms", Value::Num(result.atoms)),
-                    ("nulls", Value::Num(result.nulls)),
-                ],
-            );
-        }
-    }
-    protocol::response(
-        false,
-        &[("error", Value::Str("unknown-job".into())), ("job", Value::Str(id.into()))],
-    )
 }
 
 /// Whether a client-supplied job id has the `job-<seq>` shape the store
@@ -933,14 +942,7 @@ fn handle_wait(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> bool {
     loop {
         match jobs.get(id) {
             None => break,
-            Some(entry)
-                if matches!(
-                    entry.phase,
-                    Phase::Done(_) | Phase::Failed(_) | Phase::Interrupted
-                ) =>
-            {
-                break
-            }
+            Some(entry) if matches!(entry.phase, Phase::Finished(_) | Phase::Interrupted) => break,
             Some(_) => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     drop(jobs);

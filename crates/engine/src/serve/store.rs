@@ -10,7 +10,9 @@
 //!     program.rules    submitted program text, verbatim
 //!     meta             the JobSpec, written last + atomically at admission
 //!     state.ckpt       snapshot: republished after every leg, final state last
-//!     result           terminal outcome marker, written last by the server
+//!     result           terminal marker, written last by the server: the
+//!                      outcome of a job that ran, or the error of one
+//!                      that failed
 //! ```
 //!
 //! `state.ckpt` is the job's one snapshot file, driven by the durable run
@@ -22,7 +24,8 @@
 //! only sent after `meta` lands, so the client saw no acknowledgement) and
 //! is garbage; a directory with `meta` but no `result` is an **in-flight
 //! job** the restart scan hands back to the worker pool; a directory with
-//! `result` is complete and only feeds the result cache. Both files are
+//! `result` is finished — done or failed — and is never run again. Both
+//! files are
 //! published with [`write_snapshot_atomic`], so a reader never sees a
 //! torn marker.
 
@@ -56,24 +59,56 @@ pub struct JobResult {
     pub fingerprint: u64,
     /// Variant keyword, for cache priming.
     pub variant: String,
+    /// What stopped the run when the outcome keyword alone does not say:
+    /// the error of a failed snapshot publication (`io`). Markers written
+    /// before the field existed read as `None`.
+    pub detail: Option<String>,
 }
 
-impl JobResult {
+/// What a job's `result` marker records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Finished {
+    /// The chase ran and stopped.
+    Done(JobResult),
+    /// The job failed before it could finish: its error text.
+    Failed(String),
+}
+
+impl Finished {
     fn to_text(&self) -> String {
-        format!(
-            "{RESULT_MAGIC}\noutcome {}\napplications {}\natoms {}\nnulls {}\n\
-             fingerprint {:016x}\nvariant {}\n",
-            self.outcome, self.applications, self.atoms, self.nulls, self.fingerprint, self.variant
-        )
+        match self {
+            Finished::Done(r) => {
+                let mut text = format!(
+                    "{RESULT_MAGIC}\noutcome {}\napplications {}\natoms {}\nnulls {}\n\
+                     fingerprint {:016x}\nvariant {}\n",
+                    r.outcome, r.applications, r.atoms, r.nulls, r.fingerprint, r.variant
+                );
+                if let Some(detail) = &r.detail {
+                    text.push_str(&format!("detail {detail}\n"));
+                }
+                text
+            }
+            Finished::Failed(error) => format!("{RESULT_MAGIC}\nfailed\n{error}\n"),
+        }
     }
 
-    fn from_text(text: &str) -> Result<JobResult, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(RESULT_MAGIC) {
+    /// Parses a marker. The error text of a failure, and a done job's
+    /// `detail`, run to the end of the file, so they keep any newlines.
+    fn from_text(text: &str) -> Result<Finished, String> {
+        let Some(mut rest) = text.strip_prefix(RESULT_MAGIC).and_then(|r| r.strip_prefix('\n'))
+        else {
             return Err(format!("result line 1: expected `{RESULT_MAGIC}`"));
+        };
+        let to_end = |tail: &str| tail.strip_suffix('\n').unwrap_or(tail).to_string();
+        if let Some(error) = rest.strip_prefix("failed\n") {
+            return Ok(Finished::Failed(to_end(error)));
         }
         let mut field = |key: &str| -> Result<String, String> {
-            let line = lines.next().ok_or_else(|| format!("result: missing `{key}`"))?;
+            let (line, tail) = rest
+                .split_once('\n')
+                .or((!rest.is_empty()).then_some((rest, "")))
+                .ok_or_else(|| format!("result: missing `{key}`"))?;
+            rest = tail;
             line.strip_prefix(key)
                 .and_then(|r| r.strip_prefix(' '))
                 .map(str::to_string)
@@ -95,7 +130,16 @@ impl JobResult {
         let variant = field("variant")?;
         ChaseVariant::from_name(&variant)
             .ok_or_else(|| format!("result: unknown variant `{variant}`"))?;
-        Ok(JobResult { outcome, applications, atoms, nulls, fingerprint, variant })
+        let detail = rest.strip_prefix("detail ").map(to_end);
+        Ok(Finished::Done(JobResult {
+            outcome,
+            applications,
+            atoms,
+            nulls,
+            fingerprint,
+            variant,
+            detail,
+        }))
     }
 }
 
@@ -183,8 +227,8 @@ pub struct StoredJob {
 pub struct ScanReport {
     /// Admitted jobs without a result: killed in flight, to be re-run.
     pub in_flight: Vec<StoredJob>,
-    /// Completed jobs, for cache priming.
-    pub completed: Vec<(String, JobResult)>,
+    /// Finished jobs (done or failed), for cache priming and compaction.
+    pub completed: Vec<(String, Finished)>,
     /// Directories that were never admitted (no complete `meta`) or whose
     /// markers fail validation — reported, never silently deleted.
     pub discarded: Vec<String>,
@@ -240,17 +284,17 @@ impl JobStore {
         Ok(StoredJob { id: id.to_string(), dir, program_text, spec })
     }
 
-    /// Publishes a job's terminal result (atomically, last).
-    pub fn write_result(&self, id: &str, result: &JobResult) -> io::Result<()> {
+    /// Publishes a job's terminal marker (atomically, last).
+    pub fn write_result(&self, id: &str, finished: &Finished) -> io::Result<()> {
         let paths = JobPaths::new(&self.job_dir(id));
-        write_snapshot_atomic(&paths.result(), &result.to_text())
+        write_snapshot_atomic(&paths.result(), &finished.to_text())
     }
 
     /// Reads a job's result marker, if present and valid.
-    pub fn read_result(&self, id: &str) -> Result<Option<JobResult>, String> {
+    pub fn read_result(&self, id: &str) -> Result<Option<Finished>, String> {
         let paths = JobPaths::new(&self.job_dir(id));
         match std::fs::read_to_string(paths.result()) {
-            Ok(text) => JobResult::from_text(&text).map(Some).map_err(|e| format!("{id}: {e}")),
+            Ok(text) => Finished::from_text(&text).map(Some).map_err(|e| format!("{id}: {e}")),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(format!("cannot read {}: {e}", paths.result().display())),
         }
@@ -295,12 +339,12 @@ impl JobStore {
             })
     }
 
-    /// Deletes the oldest *completed* job directories beyond `keep`,
-    /// returning the ids removed. The sequence floor is persisted first,
-    /// so a crash mid-compaction can lose directories but never a
-    /// sequence number. In-flight and discarded directories are never
-    /// touched — compaction only reclaims what the result marker proves
-    /// finished.
+    /// Deletes the oldest *completed* (done or failed) job directories
+    /// beyond `keep`, returning the ids removed. The sequence floor is
+    /// persisted first, so a crash mid-compaction can lose directories but
+    /// never a sequence number. In-flight and discarded directories are
+    /// never touched — compaction only reclaims what the result marker
+    /// proves finished.
     pub fn compact(&self, keep: usize, next_seq_floor: u64) -> io::Result<Vec<String>> {
         let scan = self.scan()?;
         if scan.completed.len() <= keep {
@@ -389,9 +433,24 @@ mod tests {
             nulls: 7,
             fingerprint: 0xdead_beef_cafe_f00d,
             variant: "semi-oblivious".into(),
+            detail: None,
         };
-        assert_eq!(JobResult::from_text(&r.to_text()).unwrap(), r);
-        assert!(JobResult::from_text("garbage").is_err());
+        for finished in [
+            Finished::Done(r.clone()),
+            Finished::Done(JobResult {
+                outcome: "io".into(),
+                detail: Some("injected failpoint `snapshot.write`".into()),
+                ..r.clone()
+            }),
+            Finished::Failed("job panicked: boom\nsecond line".into()),
+        ] {
+            assert_eq!(Finished::from_text(&finished.to_text()).unwrap(), finished);
+        }
+        // A marker written before `detail` and failure markers existed.
+        let older = "chasekit-result v1\noutcome applications\napplications 99\natoms 42\n\
+                     nulls 7\nfingerprint deadbeefcafef00d\nvariant semi-oblivious\n";
+        assert_eq!(Finished::from_text(older).unwrap(), Finished::Done(r));
+        assert!(Finished::from_text("garbage").is_err());
         assert!(spec_from_text(&spec_to_text(&s).replace("steps 123", "steps lots")).is_err());
     }
 
@@ -410,8 +469,13 @@ mod tests {
             nulls: 0,
             fingerprint: 1,
             variant: "oblivious".into(),
+            detail: None,
         };
-        store.write_result("job-2", &result).unwrap();
+        store.write_result("job-2", &Finished::Done(result.clone())).unwrap();
+        // job-3: admitted and failed -> finished too.
+        store.create_job("job-3", "q(b).", &spec()).unwrap();
+        let failed = Finished::Failed("program no longer parses".into());
+        store.write_result("job-3", &failed).unwrap();
         // job-5: a kill before `meta` landed -> garbage, never admitted.
         std::fs::create_dir_all(store.job_dir("job-5")).unwrap();
         std::fs::write(store.job_dir("job-5").join("program.rules"), "r(a).").unwrap();
@@ -422,9 +486,14 @@ mod tests {
         assert_eq!(scan.in_flight.len(), 1);
         assert_eq!(scan.in_flight[0].id, "job-0");
         assert_eq!(scan.in_flight[0].spec, spec());
-        assert_eq!(scan.completed, vec![("job-2".to_string(), result)]);
+        assert_eq!(
+            scan.completed,
+            vec![("job-2".to_string(), Finished::Done(result)), ("job-3".to_string(), failed)]
+        );
         assert_eq!(scan.discarded, vec!["job-5".to_string()]);
         assert_eq!(scan.next_seq, 6);
+        // Compaction reclaims failed jobs like done ones.
+        assert_eq!(store.compact(0, scan.next_seq).unwrap(), vec!["job-2", "job-3"]);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -445,7 +514,9 @@ mod tests {
             nulls: 0,
             fingerprint: 1,
             variant: "oblivious".into(),
+            detail: None,
         };
+        let result = Finished::Done(result);
         store.write_result("job-0", &result).unwrap();
         let scan = store.scan().unwrap();
         assert_eq!(scan.completed, vec![("job-0".to_string(), result)]);
@@ -460,13 +531,16 @@ mod tests {
     fn compaction_keeps_newest_completed_and_never_reuses_sequence_numbers() {
         let root = scratch("compact");
         let store = JobStore::open(&root).unwrap();
-        let result = |seq: u64| JobResult {
-            outcome: "saturated".into(),
-            applications: seq,
-            atoms: 1,
-            nulls: 0,
-            fingerprint: seq,
-            variant: "oblivious".into(),
+        let result = |seq: u64| {
+            Finished::Done(JobResult {
+                outcome: "saturated".into(),
+                applications: seq,
+                atoms: 1,
+                nulls: 0,
+                fingerprint: seq,
+                variant: "oblivious".into(),
+                detail: None,
+            })
         };
         for seq in 0..5 {
             let id = format!("job-{seq}");

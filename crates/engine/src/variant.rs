@@ -50,6 +50,14 @@ impl ChaseVariant {
         }
     }
 
+    /// Whether a trigger key is exactly the frontier assignment: always,
+    /// except for an oblivious rule with a universal variable that does
+    /// not occur in the head.
+    pub(crate) fn keys_on_frontier(self, rule: &Tgd) -> bool {
+        self != ChaseVariant::Oblivious
+            || rule.var_count() - rule.existentials().len() == rule.frontier().len()
+    }
+
     /// Whether this variant checks head satisfaction before applying.
     #[inline]
     pub fn checks_satisfaction(self) -> bool {

@@ -59,6 +59,7 @@ const USAGE: &str =
     "usage: chasekit <classify|conditions|decide|explain|chase|critical> <rules-file> [options]
        chasekit update <rules-file> --edits SCRIPT [options]
        chasekit serve --store DIR [options]
+       chasekit help
 options:
   --variant o|so|restricted   chase variant (default: so)
   --steps N                   chase step budget (default: 10000)
@@ -439,6 +440,10 @@ fn run_serve(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    if matches!(std::env::args().nth(1).as_deref(), Some("help" | "--help" | "-h")) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) => return arg_error(msg),

@@ -110,6 +110,26 @@ fn missing_file_and_bad_usage_fail_cleanly() {
     assert!(stderr.contains("usage"));
 }
 
+/// `chasekit help` and `chasekit --help` print the usage to stdout and
+/// succeed.
+fn assert_prints_usage(arg: &str) {
+    let (stdout, stderr, code) = run(&[arg]);
+    assert_eq!(code, Some(0), "{arg}: {stderr}");
+    assert!(stdout.starts_with("usage: chasekit"), "{arg}: {stdout}");
+    assert!(stdout.contains("--edits FILE") && stdout.contains("exit codes"), "{arg}");
+    assert!(stderr.is_empty(), "{arg}: {stderr}");
+}
+
+#[test]
+fn help_command_prints_the_usage_and_exits_0() {
+    assert_prints_usage("help");
+}
+
+#[test]
+fn help_flag_prints_the_usage_and_exits_0() {
+    assert_prints_usage("--help");
+}
+
 #[test]
 fn explain_shows_a_dangerous_cycle_for_linear_sets() {
     let path = write_rules("explain-linear.rules", "p(X, Y) -> p(Y, Z).");
@@ -1019,6 +1039,44 @@ fn update_prints_the_chase_of_the_edited_program() {
         assert_eq!(repaired, printed_instance_up_to_nulls(&rechase), "{variant}");
         let (unedited, _, _) = run(&["chase", rules.to_str().unwrap(), "--variant", variant]);
         assert_ne!(repaired, printed_instance_up_to_nulls(&unedited), "{variant}");
+    }
+}
+
+/// After a retraction the derivation DAG keeps the dead applications as
+/// tombstones; the `--dot` export must not draw them.
+#[test]
+fn update_dot_draws_no_edge_from_a_dead_application() {
+    let rules = write_rules("update-dot.rules", UPDATE_RULES);
+    let edits = write_rules("update-dot.edits", "retract emp(ann).\n");
+    let dot = std::env::temp_dir().join("chasekit-cli-tests").join("update-dot.dot");
+    let (stdout, stderr, code) = run(&[
+        "update",
+        rules.to_str().unwrap(),
+        "--edits",
+        edits.to_str().unwrap(),
+        "--dot",
+        dot.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("repair: 3 atoms overdeleted, 2 applications invalidated"), "{stdout}");
+    let text = std::fs::read_to_string(&dot).unwrap();
+    let nodes: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("[label=") && !l.contains("->"))
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let edges: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.trim().split_once(" -> "))
+        .map(|(from, rest)| (from, rest.split_whitespace().next().unwrap()))
+        .collect();
+    assert_eq!(nodes.len(), 4, "{text}");
+    assert!(!text.contains("ann"), "{text}");
+    // emp(bob) -> worksIn(bob, _) -> dept(_); mgr(bob) only re-derived the
+    // base fact emp(bob), which draws no edge.
+    assert_eq!(edges.len(), 2, "{text}");
+    for (from, to) in edges {
+        assert!(nodes.contains(&from) && nodes.contains(&to), "edge {from} -> {to}: {text}");
     }
 }
 

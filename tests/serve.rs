@@ -268,9 +268,88 @@ fn recovered_job_with_a_checkpoint_of_another_variant_fails_named() {
     assert_eq!(done.str("state"), Some("failed"));
     let detail = done.str("detail").unwrap_or_default();
     assert!(detail.contains("semi-oblivious") && detail.contains("restricted"), "{detail}");
-    assert_eq!(job_state(&job_dir), parked, "the refused job published nothing");
-    assert!(!JobPaths::new(&job_dir).result().exists());
+    assert_eq!(job_state(&job_dir), parked, "the refused job published no snapshot");
+    let marker = std::fs::read_to_string(JobPaths::new(&job_dir).result()).unwrap();
+    assert!(marker.contains("failed") && marker.contains(detail), "{marker}");
     handle.shutdown();
+}
+
+/// A failed job's `result` marker holds its error, so a restart does not
+/// run it again and answers `status` with the same error from disk.
+#[test]
+fn failed_job_is_finished_on_disk_across_restarts() {
+    let dir = scratch("failed-twice");
+    let store = dir.join("store");
+    let spec = JobSpec { variant: ChaseVariant::Restricted, ..spec_with_steps(60) };
+    let job_dir = JobStore::open(&store).unwrap().create_job("job-0", DIVERGING, &spec).unwrap();
+    let program = Program::parse(DIVERGING).unwrap();
+    run_job(&program, &spec_with_steps(30), &job_dir, CancelToken::new(), None).unwrap();
+
+    let first = start(&store, |_| {});
+    assert_eq!(first.recovered_jobs().to_vec(), vec!["job-0".to_string()]);
+    let mut c = Client::connect(first.addr());
+    let failed = c.round_trip(r#"{"op":"wait","job":"job-0"}"#);
+    assert_eq!(failed.str("state"), Some("failed"));
+    let detail = failed.str("detail").unwrap().to_string();
+    first.shutdown();
+
+    let second = start(&store, |_| {});
+    assert!(second.recovered_jobs().is_empty(), "a failed job is not recovered");
+    let mut c = Client::connect(second.addr());
+    let status = c.round_trip(r#"{"op":"status","job":"job-0"}"#);
+    assert_eq!(status.str("state"), Some("failed"));
+    assert_eq!(status.str("detail"), Some(detail.as_str()));
+    let stats = c.round_trip(r#"{"op":"stats"}"#);
+    assert_eq!((stats.num("recovered"), stats.num("failed")), (Some(0), Some(0)));
+    second.shutdown();
+}
+
+/// A job stopped by a failed snapshot publication carries the I/O error
+/// into its `wait` answer and onto the server's stderr.
+#[test]
+fn io_stop_names_the_failed_publication() {
+    use std::io::Read as _;
+    use std::process::{Child, Command, Stdio};
+    /// Kills the server if an assertion fails before it shuts down.
+    struct Reaped(Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let dir = scratch("io-detail");
+    let mut server = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_chasekit"))
+            .args(["serve", "--store", dir.join("store").to_str().unwrap()])
+            .args(["--checkpoint-every", "25"])
+            .env("CHASEKIT_FAILPOINTS", "snapshot.write=error@2")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // The reader lives to the end, so the server's stdout stays open.
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner.trim().strip_prefix("listening on ").unwrap().parse().unwrap();
+
+    let mut c = Client::connect(addr);
+    let submitted = c
+        .round_trip(&format!(r#"{{"op":"submit","program":{},"steps":100}}"#, json_str(DIVERGING)));
+    let job = submitted.str("job").unwrap().to_string();
+    let done = c.round_trip(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
+    assert_eq!((done.str("state"), done.str("outcome")), (Some("done"), Some("io")));
+    let detail = done.str("detail").unwrap_or_default();
+    assert!(detail.contains("snapshot.write"), "{detail:?}");
+    c.round_trip(r#"{"op":"shutdown"}"#);
+
+    let mut stderr = String::new();
+    server.0.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = server.0.wait().unwrap();
+    assert!(status.success(), "{status:?}");
+    assert!(stderr.contains(&job) && stderr.contains("snapshot.write"), "{stderr}");
 }
 
 // ---------------------------------------------------------------------------
