@@ -13,17 +13,62 @@ use crate::rule::Tgd;
 use crate::term::Term;
 use crate::vocab::Vocabulary;
 
+/// Appends a term to `out`. `rule` supplies variable names when present;
+/// variables without a rule context render as `?<id>`.
+pub fn write_term(out: &mut String, t: Term, vocab: &Vocabulary, rule: Option<&Tgd>) {
+    match t {
+        Term::Const(c) => out.push_str(vocab.const_name(c)),
+        Term::Null(n) => {
+            out.push_str("_:n");
+            push_decimal(out, n.0);
+        }
+        Term::Var(v) => match rule {
+            Some(r) => out.push_str(&r.vars()[v.index()].name),
+            None => {
+                let _ = write!(out, "?{}", v.0);
+            }
+        },
+    }
+}
+
+/// Appends `n` in decimal, without going through the formatting machinery
+/// (instances are mostly nulls, so this is the renderer's hot path).
+fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Appends an atom to `out`: the one renderer every atom-printing path
+/// shares.
+pub fn write_atom(out: &mut String, a: AtomRef<'_>, vocab: &Vocabulary, rule: Option<&Tgd>) {
+    out.push_str(vocab.pred_name(a.pred));
+    if !a.args.is_empty() {
+        out.push('(');
+        for (i, &t) in a.args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_term(out, t, vocab, rule);
+        }
+        out.push(')');
+    }
+}
+
 /// Renders a term. `rule` supplies variable names when present; variables
 /// without a rule context render as `?<id>`.
 pub fn term_to_string(t: Term, vocab: &Vocabulary, rule: Option<&Tgd>) -> String {
-    match t {
-        Term::Const(c) => vocab.const_name(c).to_owned(),
-        Term::Null(n) => format!("_:n{}", n.0),
-        Term::Var(v) => match rule {
-            Some(r) => r.vars()[v.index()].name.clone(),
-            None => format!("?{}", v.0),
-        },
-    }
+    let mut s = String::new();
+    write_term(&mut s, t, vocab, rule);
+    s
 }
 
 /// Renders an atom.
@@ -36,17 +81,7 @@ pub fn atom_to_string(a: &Atom, vocab: &Vocabulary, rule: Option<&Tgd>) -> Strin
 /// [`Instance::atom`]: crate::Instance::atom
 pub fn atom_ref_to_string(a: AtomRef<'_>, vocab: &Vocabulary, rule: Option<&Tgd>) -> String {
     let mut s = String::new();
-    s.push_str(vocab.pred_name(a.pred));
-    if !a.args.is_empty() {
-        s.push('(');
-        for (i, &t) in a.args.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&term_to_string(t, vocab, rule));
-        }
-        s.push(')');
-    }
+    write_atom(&mut s, a, vocab, rule);
     s
 }
 
@@ -57,7 +92,7 @@ fn conj_to_string(atoms: &[Atom], vocab: &Vocabulary, rule: Option<&Tgd>) -> Str
         if i > 0 {
             s.push_str(", ");
         }
-        s.push_str(&atom_to_string(a, vocab, rule));
+        write_atom(&mut s, a.as_ref(), vocab, rule);
     }
     s
 }
@@ -107,11 +142,13 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Renders an instance, one atom per line, in insertion order.
+/// Renders an instance, one atom per line, in insertion order, into one
+/// buffer sized up front for a few terms per atom.
 pub fn instance_to_string(instance: &Instance, vocab: &Vocabulary) -> String {
-    let mut s = String::new();
+    let mut s = String::with_capacity(instance.len() * 32);
     for (_, a) in instance.iter() {
-        let _ = writeln!(s, "{}", atom_ref_to_string(a, vocab, None));
+        write_atom(&mut s, a, vocab, None);
+        s.push('\n');
     }
     s
 }
@@ -156,11 +193,36 @@ mod tests {
     }
 
     #[test]
+    fn decimals_render_like_display() {
+        for n in [0, 7, 10, 99, 100, 4_294_967_295] {
+            let mut s = String::new();
+            push_decimal(&mut s, n);
+            assert_eq!(s, n.to_string());
+        }
+    }
+
+    #[test]
     fn json_string_escapes_specials() {
         assert_eq!(json_string("person"), "\"person\"");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn instance_rendering_equals_the_atom_lines() {
+        let p = Program::parse("p(X, Y) -> q(Y, Z). go -> done. p(a, b). go.").unwrap();
+        let mut inst = Instance::from_atoms(p.facts().iter().cloned());
+        let (pred, b) = (p.rules()[0].head()[0].pred, p.facts()[0].args[1]);
+        let null = Term::Null(inst.fresh_null());
+        inst.insert(Atom::new(pred, vec![b, null]));
+        inst.insert(Atom::new(pred, vec![null, Term::Null(crate::ids::NullId(12))]));
+        inst.insert(Atom::new(p.rules()[1].head()[0].pred, vec![]));
+        let lines: String =
+            inst.iter().map(|(_, a)| atom_ref_to_string(a, &p.vocab, None) + "\n").collect();
+        let rendered = instance_to_string(&inst, &p.vocab);
+        assert_eq!(rendered, lines);
+        assert_eq!(rendered, "p(a, b)\ngo\nq(b, _:n0)\nq(_:n0, _:n12)\ndone\n");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * `(predicate, position, term)` postings — the selective index the
 //!   homomorphism matcher uses for bound positions — are columnar: a
 //!   `Vec<PredIndex>` indexed directly by `PredId`, with one
-//!   `FxHashMap<Term, Vec<AtomId>>` per argument position, so the hot
+//!   `FxHashMap<Term, Posting>` per argument position, so the hot
 //!   lookup is an array index plus a single one-word hash probe instead
-//!   of hashing a 3-tuple.
+//!   of hashing a 3-tuple. Most terms (every fresh null, to begin with)
+//!   sit at a position of a single atom, so a posting holds its first
+//!   atom inline and allocates a list only when a second one arrives.
 //!
 //! Atom ids are dense and monotone: `AtomId(i)` was inserted before
 //! `AtomId(j)` whenever `i < j`. The same holds for null ids. The
@@ -27,6 +29,7 @@ use crate::atom::{Atom, AtomRef};
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::ids::{AtomId, NullId, PredId};
 use crate::term::Term;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 /// Columnar postings for a single predicate.
@@ -36,7 +39,53 @@ struct PredIndex {
     ids: Vec<AtomId>,
     /// Per-position postings: `by_pos[pos][term]` lists the ids of atoms
     /// with `term` at argument position `pos`, in insertion order.
-    by_pos: Vec<FxHashMap<Term, Vec<AtomId>>>,
+    by_pos: Vec<FxHashMap<Term, Posting>>,
+}
+
+/// The ids of the atoms with one term at one position, ascending (that is,
+/// in insertion order). A single id is held inline; the list is allocated
+/// when a second id arrives.
+#[derive(Debug, Clone)]
+enum Posting {
+    One(AtomId),
+    Many(Vec<AtomId>),
+}
+
+impl Posting {
+    #[inline]
+    fn as_slice(&self) -> &[AtomId] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+
+    /// Appends `id`, which is greater than every id already listed.
+    fn push(&mut self, id: AtomId) {
+        match self {
+            Posting::One(first) => {
+                // The capacity a `Vec` takes on its first push, as the
+                // list-only postings had.
+                let mut ids = Vec::with_capacity(4);
+                ids.extend([*first, id]);
+                *self = Posting::Many(ids);
+            }
+            Posting::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Removes `id` if listed; returns whether the posting is now empty.
+    fn remove(&mut self, id: AtomId) -> bool {
+        match self {
+            Posting::One(only) => *only == id,
+            Posting::Many(ids) => {
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                ids.is_empty()
+            }
+        }
+    }
 }
 
 /// Open-addressed dedup index from `(pred, args)` to [`AtomId`].
@@ -258,7 +307,12 @@ impl Instance {
             pi.by_pos.resize_with(args.len(), FxHashMap::default);
         }
         for (pos, &t) in args.iter().enumerate() {
-            pi.by_pos[pos].entry(t).or_default().push(id);
+            match pi.by_pos[pos].entry(t) {
+                Entry::Occupied(mut posting) => posting.get_mut().push(id),
+                Entry::Vacant(slot) => {
+                    slot.insert(Posting::One(id));
+                }
+            }
         }
         (id, true)
     }
@@ -367,22 +421,16 @@ impl Instance {
         let pred = self.preds[i];
         let hash = hash_parts(pred, &self.terms[start..self.ends[i] as usize]);
         self.dedup.remove(hash, id.0);
-        fn drop_from(posting: &mut Vec<AtomId>, id: AtomId) {
-            // Postings are strictly ascending, so binary search applies.
-            if let Ok(at) = posting.binary_search(&id) {
-                posting.remove(at);
-            }
-        }
         let pi = &mut self.by_pred[pred.index()];
-        drop_from(&mut pi.ids, id);
+        // Postings are strictly ascending, so binary search applies.
+        if let Ok(at) = pi.ids.binary_search(&id) {
+            pi.ids.remove(at);
+        }
         let arity = self.ends[i] as usize - start;
         for pos in 0..arity {
             let t = self.terms[start + pos];
-            if let Some(posting) = pi.by_pos[pos].get_mut(&t) {
-                drop_from(posting, id);
-                if posting.is_empty() {
-                    pi.by_pos[pos].remove(&t);
-                }
+            if pi.by_pos[pos].get_mut(&t).is_some_and(|posting| posting.remove(id)) {
+                pi.by_pos[pos].remove(&t);
             }
         }
         true
@@ -411,7 +459,7 @@ impl Instance {
             .get(pred.index())
             .and_then(|p| p.by_pos.get(pos))
             .and_then(|m| m.get(&term))
-            .map(Vec::as_slice)
+            .map(Posting::as_slice)
             .unwrap_or(&[])
     }
 }
@@ -557,6 +605,28 @@ mod tests {
         assert_eq!(inst.atom(a).to_atom(), atom(0, vec![c(0), c(1)]));
         assert!(inst.retract(x));
         assert!(!inst.contains(&atom(1, vec![n(0)])));
+    }
+
+    #[test]
+    fn postings_grow_from_inline_and_keep_insertion_order() {
+        let mut inst = Instance::new();
+        let (a, _) = inst.insert(atom(0, vec![n(0), c(1)]));
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 0, n(0)), &[a]);
+        let (b, _) = inst.insert(atom(0, vec![n(0), c(2)]));
+        let (x, _) = inst.insert(atom(0, vec![n(0), c(3)]));
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 0, n(0)), &[a, b, x]);
+        // Retracting from the middle of a list and the only atom of an
+        // inline posting both keep the rest in order.
+        assert!(inst.retract(b));
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 0, n(0)), &[a, x]);
+        assert!(inst.retract(a));
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 1, c(1)), &[] as &[AtomId]);
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 1, c(3)), &[x]);
+        let (y, _) = inst.insert(atom(0, vec![n(0), c(1)]));
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 0, n(0)), &[x, y]);
+        assert_eq!(inst.with_pred_pos_term(PredId(0), 1, c(1)), &[y]);
+        assert!(inst.retract(x) && inst.retract(y));
+        assert!(inst.with_pred_pos_term(PredId(0), 0, n(0)).is_empty());
     }
 
     #[test]

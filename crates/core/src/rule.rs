@@ -48,6 +48,7 @@ pub struct Tgd {
     vars: Vec<VarInfo>,
     frontier: Vec<VarId>,
     existential: Vec<VarId>,
+    universal: Vec<VarId>,
     guard: Option<usize>,
 }
 
@@ -111,9 +112,13 @@ impl Tgd {
             .filter(|&i| vars[i].quantifier == Quantifier::Existential)
             .map(VarId::from_index)
             .collect();
+        let universal: Vec<VarId> = (0..vars.len())
+            .filter(|&i| vars[i].quantifier == Quantifier::Universal)
+            .map(VarId::from_index)
+            .collect();
 
         // A guard is a body atom containing every universal variable.
-        let universal_count = vars.iter().filter(|v| v.quantifier == Quantifier::Universal).count();
+        let universal_count = universal.len();
         let guard = body.iter().position(|a| {
             let mut seen = vec![false; vars.len()];
             let mut count = 0usize;
@@ -128,7 +133,7 @@ impl Tgd {
             count == universal_count
         });
 
-        Ok(Tgd { body, head, vars, frontier, existential, guard })
+        Ok(Tgd { body, head, vars, frontier, existential, universal, guard })
     }
 
     /// The body atoms.
@@ -180,8 +185,9 @@ impl Tgd {
     }
 
     /// Universal variables of the rule (frontier or not), ascending.
-    pub fn universals(&self) -> Vec<VarId> {
-        (0..self.vars.len()).map(VarId::from_index).filter(|&v| self.is_universal(v)).collect()
+    #[inline]
+    pub fn universals(&self) -> &[VarId] {
+        &self.universal
     }
 
     /// Index (into the body) of a guard atom, if the rule is guarded.

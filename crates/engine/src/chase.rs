@@ -20,7 +20,7 @@ use std::time::Instant;
 use chasekit_core::{
     exists_extension, exists_extension_scratch, for_each_hom, for_each_hom_scratch, AtomId,
     CriticalInstance, FxHashMap, FxHashSet, Instance, MatchScratch, NullId, Program, Substitution,
-    Term,
+    Term, Tgd,
 };
 
 use crate::derivation::{Application, DerivationDag};
@@ -140,6 +140,78 @@ pub(crate) struct Trigger {
     pub(crate) subst: Substitution,
 }
 
+/// The trigger identities admitted so far: one set of keys per rule, so
+/// that a candidate's key is probed as a borrowed slice.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Identities {
+    by_rule: Vec<FxHashSet<Box<[Term]>>>,
+}
+
+impl Identities {
+    /// Adds `(rule, key)`; returns whether it was absent. Copies the key
+    /// only when it is.
+    pub(crate) fn insert(&mut self, rule: usize, key: &[Term]) -> bool {
+        if self.by_rule.len() <= rule {
+            self.by_rule.resize_with(rule + 1, FxHashSet::default);
+        }
+        let keys = &mut self.by_rule[rule];
+        !keys.contains(key) && keys.insert(key.into())
+    }
+
+    /// Removes `(rule, key)`; returns whether it was present.
+    pub(crate) fn remove(&mut self, rule: usize, key: &[Term]) -> bool {
+        self.by_rule.get_mut(rule).is_some_and(|keys| keys.remove(key))
+    }
+
+    /// Every identity, as `(rule, key)`, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &[Term])> {
+        self.by_rule
+            .iter()
+            .enumerate()
+            .flat_map(|(rule, keys)| keys.iter().map(move |key| (rule as u32, &key[..])))
+    }
+}
+
+/// The machine state that admitting a trigger writes, borrowed apart from
+/// the instance and the matcher scratch so that the matcher's callback
+/// admits each match as it is found.
+pub(crate) struct Admission<'a> {
+    variant: ChaseVariant,
+    seen: &'a mut Identities,
+    /// Reused buffer the candidate's key is built in.
+    key: &'a mut Vec<Term>,
+    queue: &'a mut VecDeque<Trigger>,
+    stats: &'a mut ChaseStats,
+    trace: &'a mut Option<TraceHandle>,
+    approx_bytes: &'a mut usize,
+}
+
+impl Admission<'_> {
+    /// Admits one candidate trigger: dedups it against the identity set and
+    /// enqueues it if fresh, updating stats and the memory estimate. Every
+    /// discovered trigger passes through here, so admission order fully
+    /// determines queue order, the identity set, and the enqueue/dedup
+    /// counters. A deduped candidate allocates nothing; a fresh one copies
+    /// its substitution into the queue and its key into the identity set.
+    pub(crate) fn admit(&mut self, rule_idx: usize, rule: &Tgd, subst: &Substitution) {
+        self.variant.write_key(rule, subst, self.key);
+        if self.seen.insert(rule_idx, self.key) {
+            self.stats.triggers_enqueued += 1;
+            if let Some(t) = self.trace {
+                t.core(TraceEvent::TriggerAdmitted { rule: rule_idx });
+            }
+            *self.approx_bytes +=
+                approx_identity_bytes(self.key.len()) + approx_trigger_bytes(subst.len());
+            self.queue.push_back(Trigger { rule: rule_idx, subst: subst.clone() });
+        } else {
+            self.stats.triggers_deduped += 1;
+            if let Some(t) = self.trace {
+                t.core(TraceEvent::TriggerDeduped { rule: rule_idx });
+            }
+        }
+    }
+}
+
 /// Skolem ancestry info for one null: its function tag `(rule, exvar)` and
 /// the set of tags occurring in its arguments' ancestries.
 #[derive(Debug, Clone)]
@@ -155,7 +227,7 @@ pub struct ChaseMachine<'p> {
     pub(crate) config: ChaseConfig,
     pub(crate) instance: Instance,
     pub(crate) queue: VecDeque<Trigger>,
-    pub(crate) seen: FxHashSet<(u32, Vec<Term>)>,
+    pub(crate) seen: Identities,
     pub(crate) derivation: DerivationDag,
     pub(crate) stats: ChaseStats,
     pub(crate) skolem: FxHashMap<NullId, SkolemInfo>,
@@ -176,11 +248,18 @@ pub struct ChaseMachine<'p> {
     pub(crate) scratch: MatchScratch,
     /// Reusable head-image argument buffer for [`apply`](Self::apply).
     pub(crate) args_buf: Vec<Term>,
+    /// Reusable trigger-key buffer for [`Admission::admit`].
+    pub(crate) key_buf: Vec<Term>,
     /// Triggers the restricted variant skipped as already satisfied,
     /// recorded only when `track_derivation` is on. Incremental retraction
     /// must re-open a skip whose satisfaction witness was deleted
     /// (see [`crate::incremental`]); untracked runs record nothing.
     pub(crate) skips: SkipLog,
+    /// Ids of the base facts an edit retracted (see
+    /// [`crate::incremental`]); the slab keeps their content readable. One
+    /// the chase derives again stays in the instance as derived, and
+    /// retracting it again is a no-op.
+    pub(crate) retracted_facts: Vec<AtomId>,
 }
 
 impl<'p> ChaseMachine<'p> {
@@ -214,7 +293,7 @@ impl<'p> ChaseMachine<'p> {
             config,
             instance: initial,
             queue: VecDeque::new(),
-            seen: FxHashSet::default(),
+            seen: Identities::default(),
             derivation: DerivationDag::new(),
             stats: ChaseStats::default(),
             skolem: FxHashMap::default(),
@@ -231,7 +310,9 @@ impl<'p> ChaseMachine<'p> {
             progress: None,
             scratch: MatchScratch::default(),
             args_buf: Vec::new(),
+            key_buf: Vec::new(),
             skips: SkipLog::default(),
+            retracted_facts: Vec::new(),
         };
         for rule_idx in 0..program.rules().len() {
             machine.enqueue_matches(rule_idx, None);
@@ -334,60 +415,46 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Finds triggers for `rule_idx`, optionally pinned to a new atom, and
-    /// enqueues the identity-fresh ones.
+    /// admits each as the matcher yields it. Pinned matches come in the
+    /// matcher's deterministic enumeration order: body position, then join
+    /// order.
     pub(crate) fn enqueue_matches(&mut self, rule_idx: usize, pinned: Option<AtomId>) {
         let rule = &self.program.rules()[rule_idx];
-
-        // Collect first (can't borrow self mutably inside the closure).
-        let found: Vec<Substitution> = match pinned {
+        let (instance, scratch, mut admission) = self.admission();
+        let mut admit = |s: &Substitution| {
+            admission.admit(rule_idx, rule, s);
+            ControlFlow::Continue(())
+        };
+        let (body, vars) = (rule.body(), rule.var_count());
+        match pinned {
             None => {
-                let mut found = Vec::new();
-                for_each_hom_scratch(
-                    rule.body(),
-                    rule.var_count(),
-                    &self.instance,
-                    None,
-                    None,
-                    &mut self.scratch,
-                    &mut |s| {
-                        found.push(s.clone());
-                        ControlFlow::Continue(())
-                    },
-                );
-                found
+                for_each_hom_scratch(body, vars, instance, None, None, scratch, &mut admit);
             }
             Some(atom_id) => {
-                matches_pinned(self.program, &self.instance, rule_idx, atom_id, &mut self.scratch)
+                let pred = instance.atom(atom_id).pred;
+                for (body_idx, body_atom) in body.iter().enumerate() {
+                    if body_atom.pred == pred {
+                        let pin = Some((body_idx, atom_id));
+                        for_each_hom_scratch(body, vars, instance, None, pin, scratch, &mut admit);
+                    }
+                }
             }
-        };
-
-        for subst in found {
-            self.admit_trigger(rule_idx, subst);
         }
     }
 
-    /// Admits one candidate trigger: dedups it against the identity set and
-    /// enqueues it if fresh, updating stats and the memory estimate. Every
-    /// discovered trigger passes through here, so admission order fully
-    /// determines queue order, the identity set, and the enqueue/dedup
-    /// counters.
-    pub(crate) fn admit_trigger(&mut self, rule_idx: usize, subst: Substitution) {
-        let rule = &self.program.rules()[rule_idx];
-        let key = self.config.variant.trigger_key(rule, &subst);
-        let key_len = key.len();
-        if self.seen.insert((rule_idx as u32, key)) {
-            self.stats.triggers_enqueued += 1;
-            if let Some(t) = &mut self.trace {
-                t.core(TraceEvent::TriggerAdmitted { rule: rule_idx });
-            }
-            self.approx_bytes += approx_identity_bytes(key_len) + approx_trigger_bytes(subst.len());
-            self.queue.push_back(Trigger { rule: rule_idx, subst });
-        } else {
-            self.stats.triggers_deduped += 1;
-            if let Some(t) = &mut self.trace {
-                t.core(TraceEvent::TriggerDeduped { rule: rule_idx });
-            }
-        }
+    /// Splits the machine into the instance, the matcher scratch, and the
+    /// state trigger admission writes.
+    pub(crate) fn admission(&mut self) -> (&Instance, &mut MatchScratch, Admission<'_>) {
+        let admission = Admission {
+            variant: self.config.variant,
+            seen: &mut self.seen,
+            key: &mut self.key_buf,
+            queue: &mut self.queue,
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+            approx_bytes: &mut self.approx_bytes,
+        };
+        (&self.instance, &mut self.scratch, admission)
     }
 
     /// Draws the next trigger according to the scheduling policy.
@@ -485,16 +552,25 @@ impl<'p> ChaseMachine<'p> {
         };
 
         // Extend the substitution with fresh nulls for the existentials.
+        // The nulls born and the frontier image are kept only for the
+        // derivation DAG and the Skolem ancestry; untracked runs skip both.
+        let tracked = self.config.track_derivation || self.config.track_skolem;
         let mut subst = trigger.subst;
-        let mut born = Vec::with_capacity(rule.existentials().len());
+        let mut born = Vec::with_capacity(if tracked { rule.existentials().len() } else { 0 });
         for &ex in rule.existentials() {
             let null = self.instance.fresh_null();
             self.stats.nulls_minted += 1;
-            born.push(null);
+            if tracked {
+                born.push(null);
+            }
             subst.bind(ex, Term::Null(null));
         }
 
-        let frontier: Vec<Term> = rule.frontier().iter().map(|&v| subst.get(v).unwrap()).collect();
+        let frontier: Vec<Term> = if tracked {
+            rule.frontier().iter().map(|&v| subst.get(v).unwrap()).collect()
+        } else {
+            Vec::new()
+        };
 
         if self.config.track_skolem && !born.is_empty() {
             self.record_skolem(trigger.rule, rule.existentials(), &born, &frontier);
@@ -709,38 +785,6 @@ impl<'p> ChaseMachine<'p> {
             reason
         }
     }
-}
-
-/// Candidate triggers for `rule_idx` pinned to `atom_id`, in the matcher's
-/// deterministic enumeration order (body position, then join order).
-fn matches_pinned(
-    program: &Program,
-    instance: &Instance,
-    rule_idx: usize,
-    atom_id: AtomId,
-    scratch: &mut MatchScratch,
-) -> Vec<Substitution> {
-    let rule = &program.rules()[rule_idx];
-    let pred = instance.atom(atom_id).pred;
-    let mut found = Vec::new();
-    for (body_idx, body_atom) in rule.body().iter().enumerate() {
-        if body_atom.pred != pred {
-            continue;
-        }
-        for_each_hom_scratch(
-            rule.body(),
-            rule.var_count(),
-            instance,
-            None,
-            Some((body_idx, atom_id)),
-            scratch,
-            &mut |s| {
-                found.push(s.clone());
-                ControlFlow::Continue(())
-            },
-        );
-    }
-    found
 }
 
 /// Result of a one-shot chase run.

@@ -42,10 +42,12 @@ use std::time::Instant;
 
 use chasekit_core::display::program_to_string;
 use chasekit_core::{
-    Atom, FxHashMap, FxHashSet, Instance, NullId, PredId, Program, Substitution, Term, VarId,
+    Atom, FxHashMap, Instance, NullId, PredId, Program, Substitution, Term, VarId,
 };
 
-use crate::chase::{ChaseConfig, ChaseMachine, ChaseStats, Scheduling, SkolemInfo, Trigger};
+use crate::chase::{
+    ChaseConfig, ChaseMachine, ChaseStats, Identities, Scheduling, SkolemInfo, Trigger,
+};
 use crate::failpoint::{self, points};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::variant::ChaseVariant;
@@ -136,7 +138,8 @@ impl<'p> ChaseMachine<'p> {
             self.instance.len() == self.instance.slab_len() || !self.config.track_derivation,
             "cannot snapshot a machine with retracted atoms"
         );
-        let mut seen: Vec<(u32, Vec<Term>)> = self.seen.iter().cloned().collect();
+        let mut seen: Vec<(u32, Vec<Term>)> =
+            self.seen.iter().map(|(rule, key)| (rule, key.to_vec())).collect();
         seen.sort();
         let mut skolem: Vec<(NullId, SkolemInfo)> =
             self.skolem.iter().map(|(k, v)| (*k, v.clone())).collect();
@@ -229,11 +232,11 @@ impl Checkpoint {
             queue.push_back(Trigger { rule: *rule_idx, subst });
         }
 
-        let mut seen: FxHashSet<(u32, Vec<Term>)> = FxHashSet::default();
+        let mut seen = Identities::default();
         let mut seen_bytes = 0usize;
-        for entry in &self.seen {
-            seen_bytes += crate::guard::approx_identity_bytes(entry.1.len());
-            seen.insert(entry.clone());
+        for (rule, key) in &self.seen {
+            seen_bytes += crate::guard::approx_identity_bytes(key.len());
+            seen.insert(*rule as usize, key);
         }
 
         let atom_bytes: usize =
@@ -260,7 +263,9 @@ impl Checkpoint {
             progress: None,
             scratch: chasekit_core::MatchScratch::default(),
             args_buf: Vec::new(),
+            key_buf: Vec::new(),
             skips: Default::default(),
+            retracted_facts: Default::default(),
         })
     }
 

@@ -46,6 +46,7 @@
 
 use std::ops::ControlFlow;
 
+use chasekit_core::display::write_atom;
 use chasekit_core::{
     for_each_hom_scratch, Atom, AtomId, FxHashMap, Instance, NullId, Program, Substitution, Term,
 };
@@ -254,8 +255,10 @@ impl<'p> ChaseMachine<'p> {
     /// re-fires them.
     ///
     /// Retracting an absent content is a lenient no-op (reported via
-    /// [`RetractOutcome::missing`]); retracting a *derived* atom is an
-    /// error — DRed retraction is defined on the base.
+    /// [`RetractOutcome::missing`]), and so is retracting again a base fact
+    /// that the chase derives once it is retracted; retracting an atom
+    /// that was never a base fact is an error — DRed retraction is defined
+    /// on the base.
     pub fn retract_fact(&mut self, fact: &Atom) -> Result<RetractOutcome, UpdateError> {
         self.require_updatable()?;
         check_vocab(self.program, fact)?;
@@ -265,8 +268,16 @@ impl<'p> ChaseMachine<'p> {
             return Ok(out);
         };
         if self.derivation.creator_of(root).is_some() {
-            return Err(UpdateError::NotABaseFact(format!("{fact:?}")));
+            // A base fact an earlier edit retracted, which the chase
+            // derives again, is no longer in the base: as in
+            // `edited_program`, retracting it again is a no-op.
+            if self.retracted_facts.iter().any(|&id| self.instance.atom(id) == *fact) {
+                out.missing = true;
+                return Ok(out);
+            }
+            return Err(UpdateError::NotABaseFact(fact_text(self.program, fact)));
         }
+        self.retracted_facts.push(root);
 
         // Phase 1: overdelete the cone.
         let cone = self.derivation.cone_of(root);
@@ -418,7 +429,7 @@ impl<'p> ChaseMachine<'p> {
 
     /// Releases the trigger identity `(rule_idx, key)`, then searches the
     /// instance for a body match with that key and, if one exists, admits
-    /// it through [`admit_trigger`](Self::admit_trigger). Returns whether
+    /// it through [`Admission::admit`](crate::chase::Admission::admit). Returns whether
     /// it did. An identity left free is claimed by delta matching once an
     /// insertion enables a match for it.
     fn release_and_readmit(&mut self, rule_idx: usize, key: Vec<Term>) -> bool {
@@ -427,30 +438,25 @@ impl<'p> ChaseMachine<'p> {
         for (&v, &t) in self.config.variant.key_vars(rule).iter().zip(&key) {
             seed.bind(v, t);
         }
-        let key_len = key.len();
-        if self.seen.remove(&(rule_idx as u32, key)) {
-            self.approx_bytes = self.approx_bytes.saturating_sub(approx_identity_bytes(key_len));
+        if self.seen.remove(rule_idx, &key) {
+            self.approx_bytes = self.approx_bytes.saturating_sub(approx_identity_bytes(key.len()));
         }
-        let mut found = None;
+        let mut found = false;
+        let (instance, scratch, mut admission) = self.admission();
         for_each_hom_scratch(
             rule.body(),
             rule.var_count(),
-            &self.instance,
+            instance,
             Some(&seed),
             None,
-            &mut self.scratch,
+            scratch,
             &mut |s| {
-                found = Some(s.clone());
+                admission.admit(rule_idx, rule, s);
+                found = true;
                 ControlFlow::Break(())
             },
         );
-        match found {
-            Some(subst) => {
-                self.admit_trigger(rule_idx, subst);
-                true
-            }
-            None => false,
-        }
+        found
     }
 
     /// Applies an edit script in order, then runs the completion chase.
@@ -514,14 +520,29 @@ impl<'p> ChaseMachine<'p> {
 /// Validates a fact against the program vocabulary.
 fn check_vocab(program: &Program, fact: &Atom) -> Result<(), UpdateError> {
     if !fact.is_ground() {
-        return Err(UpdateError::NonGround(format!("{fact:?}")));
+        return Err(UpdateError::NonGround(fact_text(program, fact)));
     }
     if fact.pred.index() >= program.vocab.pred_count()
         || program.vocab.arity(fact.pred) != fact.arity()
     {
-        return Err(UpdateError::Vocabulary(format!("{fact:?}")));
+        return Err(UpdateError::Vocabulary(fact_text(program, fact)));
     }
     Ok(())
+}
+
+/// Renders an edit fact for an error message with the program's names,
+/// or in its internal form if it uses a predicate or constant the
+/// vocabulary lacks, so rendering never panics.
+fn fact_text(program: &Program, fact: &Atom) -> String {
+    let vocab = &program.vocab;
+    let known = |t: &Term| !matches!(*t, Term::Const(c) if c.index() >= vocab.const_count());
+    let named = fact.pred.index() < vocab.pred_count() && fact.args.iter().all(known);
+    if !named {
+        return format!("{fact:?}");
+    }
+    let mut text = String::new();
+    write_atom(&mut text, fact.as_ref(), vocab, None);
+    text
 }
 
 /// Parses an edit script: one edit per line, `add <atom>.` or
@@ -823,10 +844,58 @@ mod tests {
         let edits = parse_edit_script("retract q(a).", &mut p).unwrap();
         let mut m = machine(&p, ChaseVariant::SemiOblivious);
         assert!(m.run(&Budget::unlimited()).is_saturated());
-        assert!(matches!(
-            m.apply_edits(&edits, &Budget::unlimited()),
-            Err(UpdateError::NotABaseFact(_))
-        ));
+        let err = m.apply_edits(&edits, &Budget::unlimited()).unwrap_err();
+        assert_eq!(err, UpdateError::NotABaseFact("q(a)".into()));
+        assert_eq!(err.to_string(), "cannot retract q(a): it is chase-derived, not a base fact");
+    }
+
+    #[test]
+    fn a_second_retract_of_a_rederived_fact_is_absent() {
+        // q(a) is base and derivable: the first retraction takes it out of
+        // the base and the chase derives it again; the second finds no
+        // base fact to retract, as `edited_program` does.
+        for variant in [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious] {
+            let mut p = Program::parse("p(X) -> q(X).\np(a). q(a).\n").unwrap();
+            let edits = parse_edit_script("retract q(a).\nretract q(a).", &mut p).unwrap();
+            let mut m = machine(&p, variant);
+            assert!(m.run(&Budget::unlimited()).is_saturated());
+            let report = m.apply_edits(&edits, &Budget::unlimited()).unwrap();
+            assert_eq!((report.retracts, report.missing_retracts), (1, 1));
+            check_support(m.instance(), m.derivation()).unwrap();
+            let reference = scratch_canonical(&edited_program(&p, &edits), variant);
+            assert_eq!(canonical_form(m.instance(), m.derivation()), reference);
+        }
+        // An atom that was never a base fact still cannot be retracted,
+        // whatever was retracted before it.
+        let text = "p(X) -> q(X).\nq(X) -> r(X).\np(a). q(a). p(b).\n";
+        let mut p = Program::parse(text).unwrap();
+        let edits = parse_edit_script("retract q(a).\nretract r(b).", &mut p).unwrap();
+        let mut m = machine(&p, ChaseVariant::SemiOblivious);
+        assert!(m.run(&Budget::unlimited()).is_saturated());
+        let err = m.apply_edits(&edits, &Budget::unlimited()).unwrap_err();
+        assert_eq!(err, UpdateError::NotABaseFact("r(b)".into()));
+    }
+
+    #[test]
+    fn edit_errors_render_facts_with_the_vocabulary() {
+        let p = Program::parse("p(X) -> q(X).\np(a).\n").unwrap();
+        let mut m = machine(&p, ChaseVariant::SemiOblivious);
+        let open_fact = Atom::new(p.facts()[0].pred, vec![Term::Var(chasekit_core::VarId(4))]);
+        assert_eq!(
+            m.retract_fact(&open_fact).unwrap_err().to_string(),
+            "edit fact p(?4) is not ground"
+        );
+        let wrong_arity = Atom::new(p.facts()[0].pred, vec![p.facts()[0].args[0]; 2]);
+        assert_eq!(
+            m.add_fact(&wrong_arity).unwrap_err().to_string(),
+            "edit fact p(a, a) does not match the program vocabulary"
+        );
+        // A predicate outside the vocabulary falls back to the internal
+        // form instead of panicking.
+        let unknown = Atom::new(chasekit_core::PredId(99), vec![p.facts()[0].args[0]]);
+        let err = m.add_fact(&unknown).unwrap_err();
+        assert!(matches!(err, UpdateError::Vocabulary(_)), "{err}");
+        assert!(err.to_string().contains("PredId(99)"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Chase variants and their trigger-identity semantics.
 
-use std::borrow::Cow;
-
 use chasekit_core::{Substitution, Term, Tgd, VarId};
 
 /// The chase variant, which determines when two triggers for the same rule
@@ -32,21 +30,29 @@ impl ChaseVariant {
     /// Computes a trigger's identity key: the projection of the substitution
     /// onto the variables that distinguish triggers under this variant.
     pub fn trigger_key(self, rule: &Tgd, subst: &Substitution) -> Vec<Term> {
-        self.key_vars(rule)
-            .iter()
-            .map(|&v| subst.get(v).expect("key variables are universal, so bound"))
-            .collect()
+        let mut key = Vec::new();
+        self.write_key(rule, subst, &mut key);
+        key
+    }
+
+    /// [`trigger_key`](Self::trigger_key) into a reusable buffer, which is
+    /// cleared first.
+    pub(crate) fn write_key(self, rule: &Tgd, subst: &Substitution, key: &mut Vec<Term>) {
+        key.clear();
+        key.extend(
+            self.key_vars(rule)
+                .iter()
+                .map(|&v| subst.get(v).expect("key variables are universal, so bound")),
+        );
     }
 
     /// The variables a trigger key projects onto, in key order: all
     /// universal variables (ascending) for the oblivious chase, the
     /// frontier for the others.
-    pub(crate) fn key_vars(self, rule: &Tgd) -> Cow<'_, [VarId]> {
+    pub(crate) fn key_vars(self, rule: &Tgd) -> &[VarId] {
         match self {
-            ChaseVariant::Oblivious => Cow::Owned(rule.universals()),
-            ChaseVariant::SemiOblivious | ChaseVariant::Restricted => {
-                Cow::Borrowed(rule.frontier())
-            }
+            ChaseVariant::Oblivious => rule.universals(),
+            ChaseVariant::SemiOblivious | ChaseVariant::Restricted => rule.frontier(),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Allocation accounting for the steady-state matching hot path.
+//! Allocation accounting for the steady-state chase hot path.
 //!
 //! The interned-instance rebuild promises that once a `MatchScratch` is
 //! warm, trigger matching performs **zero per-candidate heap allocation**:
@@ -8,6 +8,11 @@
 //! test pins that down with a counting global allocator: warm up once,
 //! then re-run the same matching workload and demand the allocation
 //! counter not move.
+//!
+//! It then pins the whole untracked chase step: admission dedups a
+//! candidate in a reused key buffer, so only a fresh trigger (its queued
+//! substitution and its stored key) and a new atom allocate, and a
+//! posting holds its first atom inline.
 //!
 //! Single-threaded by construction (one `#[test]` per concern would let
 //! libtest interleave counters), so everything lives in one test fn.
@@ -19,6 +24,20 @@ use chasekit_core::{
     exists_extension_scratch, for_each_hom_scratch, CriticalInstance, MatchScratch, Program,
     Substitution,
 };
+use chasekit_engine::{Budget, ChaseConfig, ChaseMachine, ChaseVariant, StopReason};
+
+/// A guarded E4 program (`e4-27` of the benchmark's chase inputs) whose
+/// semi-oblivious chase of its critical instance does not saturate.
+const E4_27: &str = "\
+    p2(X0, X1, X2), p2(X0, X0, X2) -> p0(Z1), p2(X2, X2, Z2).\n\
+    p3(X0), p1(X0, X0) -> p0(Z1).\n\
+    p3(X0) -> p2(Z1, X0, X0), p3(Z2).\n\
+    p3(X0) -> p2(Z1, Z2, X0), p2(X0, X0, X0).\n";
+
+/// The allocation budget of one untracked chase step: a fresh trigger's
+/// queued substitution and stored key, the step's list of new atoms, and
+/// amortised growth of the arena, the postings and the queue.
+const ALLOCS_PER_APPLICATION: f64 = 6.0;
 
 /// `System`, with a count of every allocation it hands out.
 struct CountingAlloc;
@@ -103,5 +122,24 @@ fn warm_scratch_matching_does_not_allocate() {
         "steady-state matching allocated {} time(s) — the scratch/borrowed-postings \
          contract is broken",
         after - before
+    );
+
+    // The untracked chase step: build the machine and run 3,000
+    // applications, counting every allocation on the way.
+    let mut program = Program::parse(E4_27).unwrap();
+    let initial = CriticalInstance::build(&mut program).instance;
+    let config = ChaseConfig::of(ChaseVariant::SemiOblivious);
+    let before = allocs();
+    let mut machine = ChaseMachine::new(&program, config, initial);
+    let stop = machine.run(&Budget::applications(3_000));
+    let made = allocs() - before;
+    assert_eq!(stop, StopReason::Applications, "the run must reach its budget");
+    let applications = machine.stats().applications;
+    assert_eq!(applications, 3_000);
+    let per_application = made as f64 / applications as f64;
+    assert!(
+        per_application <= ALLOCS_PER_APPLICATION,
+        "the chase step allocated {per_application:.2} times per application \
+         ({made} over {applications}); the budget is {ALLOCS_PER_APPLICATION}"
     );
 }

@@ -1098,6 +1098,38 @@ fn update_bad_script_line_exits_1_naming_the_line() {
     assert!(stderr.contains("line 2"), "{stderr}");
 }
 
+/// Retracting a base fact that a rule also derives keeps it as derived;
+/// a second retraction of it finds no base fact and counts as absent, as
+/// the edited program does.
+#[test]
+fn update_second_retract_of_a_rederived_fact_counts_as_absent() {
+    let rules = write_rules("update-twice.rules", "p(X) -> q(X).\np(a). q(a).\n");
+    let edits = write_rules("update-twice.edits", "retract q(a).\nretract q(a).\n");
+    let edited = write_rules("update-twice-edited.rules", "p(X) -> q(X).\np(a).\n");
+    let (stdout, stderr, code) =
+        run(&["update", rules.to_str().unwrap(), "--edits", edits.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains("edits: 0 adds (0 already present), 1 retracts (1 absent)"),
+        "{stdout}"
+    );
+    let (rechase, _, code) = run(&["chase", edited.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{rechase}");
+    assert_eq!(printed_instance_up_to_nulls(&stdout), printed_instance_up_to_nulls(&rechase));
+}
+
+/// Edit errors name the fact as the program writes it, not the engine's
+/// internal ids.
+#[test]
+fn update_error_prints_the_fact() {
+    let rules = write_rules("update-derived.rules", "p(X) -> q(X).\np(a).\n");
+    let edits = write_rules("update-derived.edits", "retract q(a).\n");
+    let (stdout, stderr, code) =
+        run(&["update", rules.to_str().unwrap(), "--edits", edits.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stderr.trim(), "cannot retract q(a): it is chase-derived, not a base fact");
+}
+
 #[test]
 fn update_rejects_guard_flags_it_cannot_honour() {
     let rules = write_rules("update-flags.rules", UPDATE_RULES);
