@@ -77,6 +77,12 @@ impl Substitution {
         a.map_args(|t| self.apply(t))
     }
 
+    /// Every slot's binding, in variable order.
+    #[inline]
+    pub fn slots(&self) -> &[Option<Term>] {
+        &self.slots
+    }
+
     /// Number of variable slots.
     pub fn len(&self) -> usize {
         self.slots.len()

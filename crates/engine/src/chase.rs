@@ -250,6 +250,9 @@ pub struct ChaseMachine<'p> {
     pub(crate) args_buf: Vec<Term>,
     /// Reusable trigger-key buffer for [`Admission::admit`].
     pub(crate) key_buf: Vec<Term>,
+    /// Reusable snapshot-text buffer for
+    /// [`publish_snapshot`](crate::checkpoint::publish_snapshot).
+    pub(crate) text_buf: Vec<u8>,
     /// Triggers the restricted variant skipped as already satisfied,
     /// recorded only when `track_derivation` is on. Incremental retraction
     /// must re-open a skip whose satisfaction witness was deleted
@@ -311,6 +314,7 @@ impl<'p> ChaseMachine<'p> {
             scratch: MatchScratch::default(),
             args_buf: Vec::new(),
             key_buf: Vec::new(),
+            text_buf: Vec::new(),
             skips: SkipLog::default(),
             retracted_facts: Vec::new(),
         };

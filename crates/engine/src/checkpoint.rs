@@ -138,9 +138,8 @@ impl<'p> ChaseMachine<'p> {
             self.instance.len() == self.instance.slab_len() || !self.config.track_derivation,
             "cannot snapshot a machine with retracted atoms"
         );
-        let mut seen: Vec<(u32, Vec<Term>)> =
-            self.seen.iter().map(|(rule, key)| (rule, key.to_vec())).collect();
-        seen.sort();
+        let seen =
+            self.sorted_identities().into_iter().map(|(rule, key)| (rule, key.to_vec())).collect();
         let mut skolem: Vec<(NullId, SkolemInfo)> =
             self.skolem.iter().map(|(k, v)| (*k, v.clone())).collect();
         skolem.sort_by_key(|(n, _)| *n);
@@ -165,6 +164,35 @@ impl<'p> ChaseMachine<'p> {
             skolem,
             skolem_cyclic: self.skolem_cyclic,
         }
+    }
+
+    /// The trigger identities in the canonical order of the v1 text:
+    /// sorted by rule, then key.
+    fn sorted_identities(&self) -> Vec<(u32, &[Term])> {
+        let mut seen: Vec<(u32, &[Term])> = self.seen.iter().collect();
+        seen.sort_unstable();
+        seen
+    }
+
+    /// Appends to `out` the v1 text of the machine's run state: the bytes
+    /// `self.snapshot().to_text()` returns, rendered straight from the
+    /// arena, queue and identity sets without cloning them.
+    fn write_text(&self, out: &mut Vec<u8>) -> Result<(), CheckpointError> {
+        let head = TextHead {
+            config: self.config,
+            fingerprint: program_fingerprint(self.program),
+            rng_state: self.rng_state,
+            next_seq: self.next_seq,
+            next_null: self.instance.null_count() as u32,
+            stats: &self.stats,
+        };
+        write_v1(
+            out,
+            &head,
+            (self.instance.len(), self.instance.iter().map(|(_, a)| (a.pred, a.args))),
+            (self.queue.len(), self.queue.iter().map(|t| (t.rule, t.subst.slots()))),
+            &self.sorted_identities(),
+        )
     }
 }
 
@@ -264,6 +292,7 @@ impl Checkpoint {
             scratch: chasekit_core::MatchScratch::default(),
             args_buf: Vec::new(),
             key_buf: Vec::new(),
+            text_buf: Vec::new(),
             skips: Default::default(),
             retracted_facts: Default::default(),
         })
@@ -275,80 +304,25 @@ impl Checkpoint {
     /// derivations or Skolem ancestry — those analysis structures are only
     /// carried by in-memory snapshots.
     pub fn to_text(&self) -> Result<String, CheckpointError> {
-        if self.config.track_derivation {
-            return Err(CheckpointError::Unserializable(
-                "derivation tracking is enabled; use an in-memory snapshot",
-            ));
-        }
-        if self.config.track_skolem {
-            return Err(CheckpointError::Unserializable(
-                "skolem tracking is enabled; use an in-memory snapshot",
-            ));
-        }
-
-        let mut out = String::new();
-        out.push_str("chasekit-checkpoint v1\n");
-        out.push_str(&format!("program {:016x}\n", self.program_fingerprint));
-        out.push_str(&format!("variant {}\n", self.config.variant.name()));
-        // Retired ablation flag: always 0, kept so the format stays v1.
-        out.push_str("naive-matching 0\n");
-        match self.config.scheduling {
-            Scheduling::Fifo => out.push_str("scheduling fifo\n"),
-            Scheduling::Random(seed) => out.push_str(&format!("scheduling random {seed}\n")),
-        }
-        out.push_str(&format!("rng {}\n", self.rng_state));
-        out.push_str(&format!("seq {}\n", self.next_seq));
-        out.push_str(&format!("nulls {}\n", self.next_null));
-        let s = &self.stats;
-        out.push_str(&format!(
-            "stats {} {} {} {} {} {} {}\n",
-            s.applications,
-            s.atoms_added,
-            s.duplicate_atoms,
-            s.triggers_enqueued,
-            s.triggers_deduped,
-            s.satisfied_skips,
-            s.nulls_minted
-        ));
-
-        out.push_str(&format!("atoms {}\n", self.atoms.len()));
-        for atom in &self.atoms {
-            out.push_str(&format!("a {}", atom.pred.0));
-            for &t in &atom.args {
-                out.push(' ');
-                out.push_str(&term_token(t)?);
-            }
-            out.push('\n');
-        }
-
-        out.push_str(&format!("queue {}\n", self.queue.len()));
-        for (rule, slots) in &self.queue {
-            out.push_str(&format!("q {rule}"));
-            for slot in slots {
-                out.push(' ');
-                match slot {
-                    Some(t) => out.push_str(&term_token(*t)?),
-                    None => out.push('_'),
-                }
-            }
-            out.push('\n');
-        }
-
-        out.push_str(&format!("seen {}\n", self.seen.len()));
-        for (rule, key) in &self.seen {
-            out.push_str(&format!("s {rule}"));
-            for &t in key {
-                out.push(' ');
-                out.push_str(&term_token(t)?);
-            }
-            out.push('\n');
-        }
-        out.push_str("end\n");
-        // Integrity trailer: CRC32 over every byte above, so recovery can
-        // tell a corrupted snapshot from a valid one (not just a torn one).
-        let crc = crc32(out.as_bytes());
-        out.push_str(&format!("crc {crc:08x}\n"));
-        Ok(out)
+        let head = TextHead {
+            config: self.config,
+            fingerprint: self.program_fingerprint,
+            rng_state: self.rng_state,
+            next_seq: self.next_seq,
+            next_null: self.next_null,
+            stats: &self.stats,
+        };
+        let seen: Vec<(u32, &[Term])> =
+            self.seen.iter().map(|(rule, key)| (*rule, &key[..])).collect();
+        let mut out = Vec::new();
+        write_v1(
+            &mut out,
+            &head,
+            (self.atoms.len(), self.atoms.iter().map(|a| (a.pred, &a.args[..]))),
+            (self.queue.len(), self.queue.iter().map(|(rule, slots)| (*rule, &slots[..]))),
+            &seen,
+        )?;
+        Ok(String::from_utf8(out).expect("checkpoint text is ASCII"))
     }
 
     /// Parses the text format produced by [`Checkpoint::to_text`].
@@ -586,19 +560,168 @@ fn kv<T: std::str::FromStr>(n: usize, l: &str, key: &str) -> Result<T, Checkpoin
     rest.trim().parse().map_err(|_| bad(n, l, &expected))
 }
 
-/// `c<id>` for constants, `n<id>` for nulls, `_` for an unbound slot.
-/// Variables never occur in checkpoints (all captured terms are ground).
-fn term_token(t: Term) -> Result<String, CheckpointError> {
-    match t {
-        Term::Const(c) => Ok(format!("c{}", c.0)),
-        Term::Null(n) => Ok(format!("n{}", n.0)),
-        Term::Var(_) => {
-            Err(CheckpointError::Unserializable("checkpoint contains a non-ground term"))
+/// The v1 text's header fields: everything but its three sections.
+struct TextHead<'a> {
+    config: ChaseConfig,
+    fingerprint: u64,
+    rng_state: u64,
+    next_seq: u64,
+    next_null: u32,
+    stats: &'a ChaseStats,
+}
+
+/// The one v1 writer, behind both [`Checkpoint::to_text`] and
+/// [`publish_snapshot`]: appends the text of a run state to `out`. The
+/// atom and queue sections come with their lengths; `seen` is written in
+/// the order given. Numbers are formatted by hand into `out`, so the only
+/// allocation is `out`'s own growth.
+///
+/// Fails with [`CheckpointError::Unserializable`] if the run tracked
+/// derivations or Skolem ancestry, or a term is not ground; `out` then
+/// holds a partial text.
+fn write_v1<'a>(
+    out: &mut Vec<u8>,
+    head: &TextHead<'_>,
+    (atom_count, atoms): (usize, impl Iterator<Item = (PredId, &'a [Term])>),
+    (queue_count, queue): (usize, impl Iterator<Item = (usize, &'a [Option<Term>])>),
+    seen: &[(u32, &[Term])],
+) -> Result<(), CheckpointError> {
+    if head.config.track_derivation {
+        return Err(CheckpointError::Unserializable(
+            "derivation tracking is enabled; use an in-memory snapshot",
+        ));
+    }
+    if head.config.track_skolem {
+        return Err(CheckpointError::Unserializable(
+            "skolem tracking is enabled; use an in-memory snapshot",
+        ));
+    }
+    let start = out.len();
+    out.extend_from_slice(b"chasekit-checkpoint v1\nprogram ");
+    push_hex(out, head.fingerprint, 16);
+    out.extend_from_slice(b"\nvariant ");
+    out.extend_from_slice(head.config.variant.name().as_bytes());
+    // Retired ablation flag: always 0, kept so the format stays v1.
+    out.extend_from_slice(b"\nnaive-matching 0\n");
+    match head.config.scheduling {
+        Scheduling::Fifo => out.extend_from_slice(b"scheduling fifo\n"),
+        Scheduling::Random(seed) => {
+            out.extend_from_slice(b"scheduling random ");
+            push_u64(out, seed);
+            out.push(b'\n');
         }
+    }
+    push_line(out, b"rng", head.rng_state);
+    push_line(out, b"seq", head.next_seq);
+    push_line(out, b"nulls", head.next_null.into());
+    let s = head.stats;
+    out.extend_from_slice(b"stats");
+    for n in [
+        s.applications,
+        s.atoms_added,
+        s.duplicate_atoms,
+        s.triggers_enqueued,
+        s.triggers_deduped,
+        s.satisfied_skips,
+        s.nulls_minted,
+    ] {
+        out.push(b' ');
+        push_u64(out, n);
+    }
+    out.push(b'\n');
+
+    push_line(out, b"atoms", atom_count as u64);
+    for (pred, args) in atoms {
+        out.extend_from_slice(b"a ");
+        push_u64(out, pred.0.into());
+        for &t in args {
+            push_term(out, Some(t))?;
+        }
+        out.push(b'\n');
+    }
+
+    push_line(out, b"queue", queue_count as u64);
+    for (rule, slots) in queue {
+        out.extend_from_slice(b"q ");
+        push_u64(out, rule as u64);
+        for &slot in slots {
+            push_term(out, slot)?;
+        }
+        out.push(b'\n');
+    }
+
+    push_line(out, b"seen", seen.len() as u64);
+    for &(rule, key) in seen {
+        out.extend_from_slice(b"s ");
+        push_u64(out, rule.into());
+        for &t in key {
+            push_term(out, Some(t))?;
+        }
+        out.push(b'\n');
+    }
+    out.extend_from_slice(b"end\n");
+    // Integrity trailer: CRC32 over every byte above, so recovery can
+    // tell a corrupted snapshot from a valid one (not just a torn one).
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(b"crc ");
+    push_hex(out, crc.into(), 8);
+    out.push(b'\n');
+    Ok(())
+}
+
+/// Appends `<key> <n>\n`.
+fn push_line(out: &mut Vec<u8>, key: &[u8], n: u64) {
+    out.extend_from_slice(key);
+    out.push(b' ');
+    push_u64(out, n);
+    out.push(b'\n');
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends the low `width` hex digits of `n`, lowercase and zero-padded.
+fn push_hex(out: &mut Vec<u8>, n: u64, width: u32) {
+    for shift in (0..width).rev() {
+        out.push(b"0123456789abcdef"[(n >> (4 * shift)) as usize & 0xf]);
     }
 }
 
-/// Inverse of [`term_token`]: `Some(None)` is the `_` unbound marker.
+/// Appends a space and the term's token: `c<id>` for constants, `n<id>`
+/// for nulls, `_` for an unbound slot. Variables never occur in
+/// checkpoints (all captured terms are ground).
+fn push_term(out: &mut Vec<u8>, slot: Option<Term>) -> Result<(), CheckpointError> {
+    out.push(b' ');
+    match slot {
+        Some(Term::Const(c)) => {
+            out.push(b'c');
+            push_u64(out, c.0.into());
+        }
+        Some(Term::Null(n)) => {
+            out.push(b'n');
+            push_u64(out, n.0.into());
+        }
+        Some(Term::Var(_)) => {
+            return Err(CheckpointError::Unserializable("checkpoint contains a non-ground term"))
+        }
+        None => out.push(b'_'),
+    }
+    Ok(())
+}
+
+/// Inverse of [`push_term`]: `Some(None)` is the `_` unbound marker.
 fn parse_term_token(w: &str) -> Option<Option<Term>> {
     if w == "_" {
         return Some(None);
@@ -613,11 +736,14 @@ fn parse_term_token(w: &str) -> Option<Option<Term>> {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected). Table built at compile time; no deps.
+// CRC32 (IEEE 802.3, reflected), slice-by-8. Tables built at compile
+// time; no deps.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[k][b]` is the CRC register contribution of byte `b`
+/// followed by `k` zero bytes, so one step folds 8 bytes with 8 lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -626,18 +752,42 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the integrity check on the checkpoint text
 /// trailer.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -660,16 +810,21 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// one, never a torn mixture; at worst a torn `<path>.tmp` is left beside
 /// it, which nothing reads.
 pub fn write_snapshot_atomic(path: &Path, text: &str) -> io::Result<()> {
+    write_snapshot_bytes(path, text.as_bytes())
+}
+
+/// [`write_snapshot_atomic`] of a text already in bytes.
+fn write_snapshot_bytes(path: &Path, text: &[u8]) -> io::Result<()> {
     let tmp = tmp_path(path);
     {
         let mut file = File::create(&tmp)?;
         match failpoint::trip_io(points::SNAPSHOT_WRITE)? {
             Some(n) => {
                 let n = n.min(text.len());
-                file.write_all(&text.as_bytes()[..n])?;
+                file.write_all(&text[..n])?;
                 return Err(failpoint::injected(points::SNAPSHOT_WRITE));
             }
-            None => file.write_all(text.as_bytes())?,
+            None => file.write_all(text)?,
         }
         file.sync_data()?;
     }
@@ -706,10 +861,22 @@ pub fn remove_snapshot(path: &Path) -> io::Result<bool> {
 /// Serializes `machine`, publishes it at `path` with
 /// [`write_snapshot_atomic`], and notes [`TraceEvent::CheckpointWrite`].
 /// The error names the path and the cause.
+///
+/// The text is the one `machine.snapshot().to_text()` returns, rendered
+/// straight from the machine into a buffer the machine keeps for its next
+/// publication: no [`Checkpoint`] is built.
 pub fn publish_snapshot(machine: &mut ChaseMachine<'_>, path: &Path) -> Result<(), String> {
-    let text = machine.snapshot().to_text().map_err(|e| format!("cannot checkpoint run: {e}"))?;
-    write_snapshot_atomic(path, &text)
-        .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
+    let mut text = std::mem::take(&mut machine.text_buf);
+    text.clear();
+    let published = machine
+        .write_text(&mut text)
+        .map_err(|e| format!("cannot checkpoint run: {e}"))
+        .and_then(|()| {
+            write_snapshot_bytes(path, &text)
+                .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))
+        });
+    machine.text_buf = text;
+    published?;
     let (applications, atoms, pending) =
         (machine.stats().applications, machine.instance().len(), machine.pending());
     machine.trace_note(TraceEvent::CheckpointWrite { applications, atoms, pending });
@@ -1019,6 +1186,68 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+    }
+
+    /// The reference: one table-free bit step per input bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_slice_by_8_equals_the_bitwise_loop() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for round in 0..216 {
+            let len = if round <= 16 { round } else { (next() % 4097) as usize };
+            let start = (next() % 8) as usize;
+            let bytes = &data[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "len {len}, start {start}");
+        }
+    }
+
+    /// The text [`publish_snapshot`] writes is the one a [`Checkpoint`]
+    /// of the same machine renders, and a tracked machine fails with the
+    /// same error either way.
+    #[test]
+    fn publication_writes_the_text_of_the_snapshot() {
+        let path = scratch("publish.ckpt");
+        let p =
+            Program::parse("p(a, b). p(X, Y) -> p(Y, Z), q(X). q(X), p(X, Y) -> r(Y, X).").unwrap();
+        let mut configs: Vec<ChaseConfig> =
+            [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+                .into_iter()
+                .map(ChaseConfig::of)
+                .collect();
+        configs.push(ChaseConfig::of(ChaseVariant::SemiOblivious).with_random_scheduling(7));
+        for config in configs {
+            let mut m = ChaseMachine::new(&p, config, facts(&p));
+            for cut in [0, 1, 9, 40] {
+                m.run(&Budget::applications(cut));
+                assert!(cut == 0 || m.pending() > 0, "the queue stays non-empty");
+                publish_snapshot(&mut m, &path).unwrap();
+                let want = m.snapshot().to_text().unwrap();
+                assert_eq!(std::fs::read_to_string(&path).unwrap(), want, "{config:?} at {cut}");
+            }
+        }
+        let tracked = ChaseConfig::of(ChaseVariant::SemiOblivious).with_derivation();
+        let mut m = ChaseMachine::new(&p, tracked, facts(&p));
+        m.run(&Budget::applications(3));
+        let want = format!("cannot checkpoint run: {}", m.snapshot().to_text().unwrap_err());
+        assert_eq!(publish_snapshot(&mut m, &path), Err(want));
+        std::fs::remove_file(&path).unwrap();
     }
 
     fn example1() -> Program {

@@ -35,7 +35,7 @@ pub struct Application {
     /// Atoms this application created: head images that were new when it
     /// fired, and head images a retraction restored for it (see
     /// [`DerivationDag::record_producer`]). Images that already existed are
-    /// not listed.
+    /// not listed, nor are images an edit later added as base facts.
     pub produced: Vec<AtomId>,
 }
 
@@ -266,7 +266,9 @@ impl DerivationDag {
             .into_iter()
             .map(|(app, pos)| (app as usize, pos as usize))
             .collect();
-        out.reverse();
+        // Mostly recorded in ascending order, but a promoted atom's
+        // creator comes last.
+        out.sort_unstable();
         out
     }
 
@@ -279,6 +281,18 @@ impl DerivationDag {
         for &(app, pos) in others {
             self.producers.push(atom, producer_entry(app, pos));
         }
+    }
+
+    /// Makes the derived `atom` an initial atom, as an edit that adds it
+    /// as a base fact does. Its creator no longer lists it as created and
+    /// stays a recorded producer at head position `pos`, so retracting the
+    /// atom restores it while that application lives, and retracting the
+    /// creator's support leaves it alone.
+    pub(crate) fn promote_to_base(&mut self, atom: AtomId, pos: usize) {
+        let Some(creator) = self.creator.get(atom.index()) else { return };
+        self.creator.clear(atom.index());
+        self.live_mut(creator).produced.retain(|&a| a != atom);
+        self.producers.push(atom, producer_entry(creator, pos));
     }
 
     /// Whether application `idx` exists and has not been dropped.

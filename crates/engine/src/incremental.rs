@@ -49,10 +49,11 @@ use std::ops::ControlFlow;
 use chasekit_core::display::write_atom;
 use chasekit_core::{
     for_each_hom_scratch, Atom, AtomId, FxHashMap, Instance, NullId, Program, Substitution, Term,
+    Tgd,
 };
 
 use crate::chase::{ChaseMachine, Trigger};
-use crate::derivation::{AtomLists, DerivationDag};
+use crate::derivation::{Application, AtomLists, DerivationDag};
 use crate::guard::{
     approx_atom_bytes, approx_identity_bytes, approx_trigger_bytes, Budget, StopReason,
 };
@@ -229,14 +230,19 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Adds a base fact and discovers the triggers it enables. Returns
-    /// whether the content was new. Does **not** run the chase; call
-    /// [`run`](Self::run) (or use [`apply_edits`](Self::apply_edits)) to
-    /// saturate afterwards.
+    /// whether the content was new. A fact the chase already derived
+    /// becomes a base fact: a later retraction of its support keeps it.
+    /// Does **not** run the chase; call [`run`](Self::run) (or use
+    /// [`apply_edits`](Self::apply_edits)) to saturate afterwards.
     pub fn add_fact(&mut self, fact: &Atom) -> Result<bool, UpdateError> {
         self.require_updatable()?;
         check_vocab(self.program, fact)?;
         let (id, fresh) = self.instance.insert(fact.clone());
         if !fresh {
+            if let Some(app) = self.derivation.creator_of(id) {
+                let pos = head_position(&self.program.rules()[app.rule], app, fact);
+                self.derivation.promote_to_base(id, pos);
+            }
             return Ok(false);
         }
         self.approx_bytes += approx_atom_bytes(fact.arity());
@@ -515,6 +521,27 @@ impl<'p> ChaseMachine<'p> {
         report.outcome = self.run(budget);
         Ok(report)
     }
+}
+
+/// The first head position of `app`, an application of `rule`, whose
+/// image is `atom`.
+fn head_position(rule: &Tgd, app: &Application, atom: &Atom) -> usize {
+    let image = |t: Term| match t {
+        Term::Var(v) => match rule.frontier().iter().position(|&f| f == v) {
+            Some(i) => app.frontier[i],
+            None => {
+                let ex = rule.existentials().iter().position(|&e| e == v);
+                Term::Null(app.born_nulls[ex.expect("a head variable is frontier or existential")])
+            }
+        },
+        ground => ground,
+    };
+    rule.head()
+        .iter()
+        .position(|h| {
+            h.pred == atom.pred && h.args.iter().zip(&atom.args).all(|(&t, &a)| image(t) == a)
+        })
+        .expect("an atom's creator has it in its head")
 }
 
 /// Validates a fact against the program vocabulary.
@@ -874,6 +901,46 @@ mod tests {
         assert!(m.run(&Budget::unlimited()).is_saturated());
         let err = m.apply_edits(&edits, &Budget::unlimited()).unwrap_err();
         assert_eq!(err, UpdateError::NotABaseFact("r(b)".into()));
+    }
+
+    #[test]
+    fn adding_a_derived_fact_makes_it_a_base_fact() {
+        // q(a) is derived from p(a) (at the second head position). Adding
+        // it makes it base: retracting p(a) keeps it, and retracting it
+        // again leaves it derived from p(a).
+        let text = "p(X) -> r(X, Y), q(X).\nq(X) -> s(X).\np(a). p(b).\n";
+        for script in
+            ["add q(a).\nretract p(a).", "add q(a).\nretract q(a).", "add q(a).\nadd q(a)."]
+        {
+            for variant in
+                [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted]
+            {
+                let mut p = Program::parse(text).unwrap();
+                let edits = parse_edit_script(script, &mut p).unwrap();
+                let mut m = machine(&p, variant);
+                assert!(m.run(&Budget::unlimited()).is_saturated());
+                let report = m.apply_edits(&edits, &Budget::unlimited()).unwrap();
+                assert!(report.outcome.is_saturated());
+                assert_eq!(report.missing_retracts, 0, "{script} under {variant}");
+                check_support(m.instance(), m.derivation()).unwrap();
+                let ep = edited_program(&p, &edits);
+                if variant == ChaseVariant::Restricted {
+                    let mut reference = machine(&ep, variant);
+                    assert!(reference.run(&Budget::unlimited()).is_saturated());
+                    assert!(is_model(&ep, m.instance()), "{script}: not a model");
+                    assert!(
+                        chasekit_core::hom_equivalent(m.instance(), reference.instance()),
+                        "{script}: not hom-equivalent to a from-scratch chase"
+                    );
+                } else {
+                    assert_eq!(
+                        canonical_form(m.instance(), m.derivation()),
+                        scratch_canonical(&ep, variant),
+                        "{script} under {variant}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -357,6 +357,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 break;
             }
             let Ok(mut stream) = conn else { continue };
+            prepare_accepted(&stream);
             let cap = accept_shared.config.max_connections.max(1);
             if accept_shared.connections.fetch_add(1, Ordering::AcqRel) >= cap {
                 accept_shared.connections.fetch_sub(1, Ordering::AcqRel);
@@ -557,9 +558,22 @@ impl Write for ChannelWriter {
 // Connections.
 // ---------------------------------------------------------------------------
 
-fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Socket setup for every accepted stream, the rejected ones included.
+/// `TCP_NODELAY` sends each response line as soon as it is written: under
+/// Nagle's algorithm a small write waits for the ACK of the previous one,
+/// which a client holding a delayed ACK sends ~40 ms later, once per
+/// round trip. Best effort: a stream that refuses the option still works.
+fn prepare_accepted(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+}
+
+/// Writes `line` and its newline with one `write_all` from one buffer, so
+/// a response leaves as one segment rather than a line and a lone `\n`.
+fn send_line<W: Write>(out: &mut W, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -1003,4 +1017,45 @@ fn stats_response(shared: &Arc<Shared>) -> String {
             ("running", Value::Num(running)),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the `write` calls it receives and keeps their bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_line_is_one_write_of_the_line_and_its_newline() {
+        let mut out = CountingWriter::default();
+        send_line(&mut out, r#"{"ok":1}"#).unwrap();
+        send_line(&mut out, "").unwrap();
+        assert_eq!(out.writes, [b"{\"ok\":1}\n".to_vec(), b"\n".to_vec()]);
+    }
+
+    #[test]
+    fn accepted_streams_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle's algorithm is on by default");
+        prepare_accepted(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        drop(client);
+    }
 }

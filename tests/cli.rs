@@ -1118,6 +1118,32 @@ fn update_second_retract_of_a_rederived_fact_counts_as_absent() {
     assert_eq!(printed_instance_up_to_nulls(&stdout), printed_instance_up_to_nulls(&rechase));
 }
 
+/// Adding a fact the chase already derived makes it a base fact: a later
+/// retraction of its support keeps it, as in the edited program.
+#[test]
+fn update_add_of_a_derived_fact_makes_it_base() {
+    let rules = write_rules("update-promote.rules", "p(X) -> q(X).\np(a).\n");
+    let edits = write_rules("update-promote.edits", "add q(a).\nretract p(a).\n");
+    let edited = write_rules("update-promote-edited.rules", "p(X) -> q(X).\nq(a).\n");
+    let (stdout, stderr, code) = run(&[
+        "update",
+        rules.to_str().unwrap(),
+        "--edits",
+        edits.to_str().unwrap(),
+        "--variant",
+        "so",
+    ]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains("edits: 0 adds (1 already present), 1 retracts (0 absent)"),
+        "{stdout}"
+    );
+    let (rechase, _, code) = run(&["chase", edited.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{rechase}");
+    assert!(rechase.contains("q(a)"), "{rechase}");
+    assert_eq!(printed_instance_up_to_nulls(&stdout), printed_instance_up_to_nulls(&rechase));
+}
+
 /// Edit errors name the fact as the program writes it, not the engine's
 /// internal ids.
 #[test]

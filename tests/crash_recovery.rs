@@ -687,3 +687,67 @@ fn hardened_checkpoint_parser_reports_locations() {
     let msg = format!("{err}");
     assert!(msg.contains("line 5") && msg.contains("end of file"), "{msg}");
 }
+
+// ---------------------------------------------------------------------------
+// Golden checkpoints: the v1 text is pinned byte for byte.
+// ---------------------------------------------------------------------------
+
+/// Budget-stopped runs whose snapshots are committed under `tests/golden/`:
+/// (file, program, config, applications).
+fn golden_checkpoint_runs() -> [(&'static str, &'static str, ChaseConfig, u64); 3] {
+    const EXAMPLE1: &str = "person(bob). person(X) -> hasFather(X, Y), person(Y).\n\
+                            hasFather(X, Y) -> knows(Y, X).";
+    const EXAMPLE2: &str =
+        "p(a, b). p(X, Y) -> p(Y, Z). p(X, Y) -> q(X). q(X), p(X, Y) -> p(Y, X).";
+    [
+        (
+            "checkpoint_semi_oblivious.ckpt",
+            EXAMPLE1,
+            ChaseConfig::of(ChaseVariant::SemiOblivious),
+            17,
+        ),
+        ("checkpoint_restricted.ckpt", EXAMPLE2, ChaseConfig::of(ChaseVariant::Restricted), 23),
+        (
+            "checkpoint_random.ckpt",
+            EXAMPLE2,
+            ChaseConfig::of(ChaseVariant::SemiOblivious).with_random_scheduling(42),
+            31,
+        ),
+    ]
+}
+
+/// Each golden file is what a publication of its run writes, byte for
+/// byte, and resumes to a machine with the same state. A change to the
+/// v1 text shows up as a diff here (regenerate deliberately with
+/// `UPDATE_GOLDEN=1 cargo test --test crash_recovery golden`).
+#[test]
+fn golden_checkpoints_are_byte_stable_and_resume() {
+    let _g = failpoint_guard();
+    let dir = scratch("golden_checkpoints");
+    for (file, text, config, applications) in golden_checkpoint_runs() {
+        let program = Program::parse(text).unwrap();
+        let initial = Instance::from_atoms(program.facts().iter().cloned());
+        let mut m = ChaseMachine::new(&program, config, initial);
+        assert_eq!(m.run(&Budget::applications(applications)), StopReason::Applications);
+        assert!(m.pending() > 0, "{file}: the run stops with a non-empty queue");
+        let published = dir.join(file);
+        publish_snapshot(&mut m, &published).unwrap();
+        let got = std::fs::read_to_string(&published).unwrap();
+
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&golden, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
+            panic!(
+                "missing golden file {golden:?} ({e}); regenerate with \
+                 UPDATE_GOLDEN=1 cargo test --test crash_recovery golden"
+            )
+        });
+        assert_eq!(got, want, "checkpoint drift in {file}; if intentional, regenerate");
+
+        let resumed = Checkpoint::from_text(&want).unwrap().resume(&program).unwrap();
+        assert_eq!(state_text(&resumed), want, "{file}: resume reproduces the state");
+        assert_eq!(resumed.stats(), m.stats(), "{file}");
+    }
+}
